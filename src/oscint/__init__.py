@@ -5,6 +5,7 @@ from .analysis import (
     STABILITY_TOL,
     DegenerateInput,
     StabilityReport,
+    axis_propagation_matrices,
     convergence_order,
     imex_propagation_matrix,
     imex_stability,
@@ -48,7 +49,6 @@ from .steppers import (
     BLOWUP_NORM_CAP,
     COMPLETED,
     Method,
-    MissingDiagonalOmega,
     NoConvergence,
     StepperSpec,
     Trajectory,

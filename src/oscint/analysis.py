@@ -44,11 +44,17 @@ def modified_mass(h: float, omega2) -> np.ndarray:
     return np.eye(omega2.shape[0]) + 0.25 * h * h * omega2
 
 
+def axis_propagation_matrices(step: Callable[[State], State], d: int) -> np.ndarray:
+    """One 2x2 one-step matrix per axis, shape (d, 2, 2), of a linear stepper
+    on decoupled axes, from two steps on basis states."""
+    e1 = step(State(0.0, np.ones(d), np.zeros(d)))
+    e2 = step(State(0.0, np.zeros(d), np.ones(d)))
+    return np.stack([np.stack([e1.q, e2.q], axis=-1), np.stack([e1.p, e2.p], axis=-1)], axis=-2)
+
+
 def propagation_matrix(step: Callable[[State], State]) -> np.ndarray:
     """2x2 one-step matrix of a linear scalar stepper, from its action on basis states."""
-    e1 = step(State(0.0, [1.0], [0.0]))
-    e2 = step(State(0.0, [0.0], [1.0]))
-    return np.array([[e1.q[0], e2.q[0]], [e1.p[0], e2.p[0]]])
+    return axis_propagation_matrices(step, 1)[0]
 
 
 def imex_propagation_matrix(h: float, omega: float) -> np.ndarray:

@@ -251,7 +251,7 @@ def main(argv=None) -> int:
     except _ConfigError as exc:
         print(f"oscint: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"oscint: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -11,8 +11,8 @@ import numpy as np
 
 from .analysis import (
     ENERGY_ERROR_CAP,
+    axis_propagation_matrices,
     convergence_order,
-    propagation_matrix,
     windowed_mean,
 )
 from .steppers import (
@@ -94,18 +94,22 @@ def resonance_sweep(
     Grid points r = omega*h/pi = grid, 2*grid, ..., up to sweep_max; one row
     per point, blow-ups capped rather than skipped.
     """
-    if not (h > 0.0 and t_end > 0.0 and grid > 0.0 and sweep_max > 0.0 and substeps >= 1):
-        raise ValueError("sweep parameters must be positive")
+    if not all(x > 0.0 and math.isfinite(x) for x in (h, t_end, grid, sweep_max)):
+        raise ValueError("sweep parameters must be positive and finite")
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
     n = int(math.floor(sweep_max / grid + 1e-9))
     if n < 1:
         raise ValueError("sweep grid is empty")
     ratios = grid * np.arange(1, n + 1)
     omegas = ratios * math.pi / h
-    mats = np.empty((2 * n, 2, 2))
-    for i, omega in enumerate(omegas):
-        sys = coupled_oscillator_build(omega)
-        mats[i] = propagation_matrix(lambda s: step_respa(sys, s, h, substeps))
-        mats[n + i] = propagation_matrix(lambda s: step_imex(sys, s, h))
+    # one decoupled axis per grid frequency: every axis steps independently,
+    # so one system yields all the per-frequency matrices
+    sys = coupled_oscillator_build(omegas)
+    mats = np.concatenate([
+        axis_propagation_matrices(lambda s: step_respa(sys, s, h, substeps), n),
+        axis_propagation_matrices(lambda s: step_imex(sys, s, h), n),
+    ])
     spring = np.concatenate([1.0 + omegas ** 2] * 2)
     n_steps = math.ceil(t_end / h)
     q0 = SWEEP_AMPLITUDE / np.sqrt(spring)

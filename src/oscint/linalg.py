@@ -1,14 +1,14 @@
-"""Small dense linear algebra used by the steppers.
+"""Small dense linear algebra: SPD solves, matrix validation, 2x2 spectra.
 
-Everything here is sized for systems with a handful of degrees of freedom,
-so dense direct factorizations are used throughout.
+The steppers' stiff flow is per-axis and needs none of this; the SPD solve
+serves Stormer-Verlet with a mass override and the discrete Lagrangians'
+mass check, both sized for a handful of degrees of freedom.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 
 class NotPositiveDefinite(ValueError):
@@ -37,22 +37,23 @@ def skew_matrix(entries) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpdFactor:
-    """Reusable Cholesky factorization of a symmetric positive definite matrix."""
+    """Reusable Cholesky factorization A = L L' of a symmetric positive definite matrix."""
 
-    _cf: tuple
+    lower: np.ndarray
 
     def solve(self, b) -> np.ndarray:
-        return cho_solve(self._cf, np.asarray(b, dtype=float))
+        y = np.linalg.solve(self.lower, np.asarray(b, dtype=float))
+        return np.linalg.solve(self.lower.T, y)
 
 
 def spd_factor(a) -> SpdFactor:
     """Factor a symmetric positive definite matrix once for repeated solves."""
     a = np.asarray(a, dtype=float)
     try:
-        c, lower = cho_factor(a, lower=True)
-    except LinAlgError as exc:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
-    return SpdFactor((c, lower))
+    return SpdFactor(lower)
 
 
 def solve_spd(a, b) -> np.ndarray:

@@ -1,21 +1,20 @@
 """Mechanical systems with a stiff quadratic force and a soft anharmonic one.
 
-A system is the data of q'' = -Omega^2 q + g(q) with unit mass matrix: a
-symmetric positive semidefinite Omega^2 driving the fast oscillation and a
-slow potential U with analytic negative gradient g.  Two concrete builders
-are provided: a scalar pair of superposed soft/stiff springs, and the
+A system is the data of q'' = -Omega^2 q + g(q) with unit mass matrix and a
+diagonal Omega: per-axis stiff frequencies omega_i driving the fast
+oscillation, and a slow potential U with analytic negative gradient g.  Two
+concrete builders are provided: decoupled soft/stiff spring pairs (the
+scalar model problem, or one axis per frequency of a sweep), and the
 Fermi-Pasta-Ulam alternating spring lattice in averaged/extension
 coordinates together with its energy diagnostics.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-from .linalg import sym_matrix
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -35,42 +34,55 @@ class State:
             raise ValueError("q and p must be vectors of equal length")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class OscillatorySystem:
-    """System q'' + Omega^2 q = g(q) with unit mass matrix.
+    """System q'' + Omega^2 q = g(q) with unit mass matrix and Omega = diag(omega).
 
-    slow_force must be the negative gradient of slow_potential.  omega_diag
-    is set when Omega is diagonal, which unlocks the per-axis closed-form
-    fast rotation; ell marks lattice systems that carry stiff-spring energy
-    diagnostics.
+    slow_force must be the negative gradient of slow_potential.  Both act
+    on the last axis, so slow_potential also evaluates a block of states
+    (shape (n, d)) in one call.  ell marks lattice systems that carry
+    stiff-spring energy diagnostics.  Only the frequencies are stored; w2
+    holds their squares and omega2 builds the dense Omega^2 on access.
     """
 
-    d: int
-    omega2: np.ndarray
+    omega: np.ndarray
     slow_potential: Callable[[np.ndarray], float]
     slow_force: Callable[[np.ndarray], np.ndarray]
     label: str
-    omega_diag: np.ndarray | None = None
     ell: int | None = None
+    w2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        omega2 = sym_matrix(self.omega2)
-        if omega2.shape != (self.d, self.d):
-            raise ValueError(f"omega2 must be {self.d}x{self.d}")
-        object.__setattr__(self, "omega2", omega2)
-        if self.omega_diag is not None:
-            w = np.asarray(self.omega_diag, dtype=float)
-            if w.shape != (self.d,) or np.any(w < 0.0):
-                raise ValueError("omega_diag must be d nonnegative frequencies")
-            if not np.array_equal(omega2, np.diag(w * w)):
-                raise ValueError("omega_diag inconsistent with omega2")
-            object.__setattr__(self, "omega_diag", w)
+        w = np.array(self.omega, dtype=float)
+        if w.ndim != 1 or w.size < 1:
+            raise ValueError("omega must be a nonempty vector of per-axis frequencies")
+        if not (np.isfinite(w).all() and (w >= 0.0).all()):
+            raise ValueError("omega must be finite and nonnegative")
+        object.__setattr__(self, "omega", _read_only(w))
+        object.__setattr__(self, "w2", _read_only(w * w))
 
-    def fast_potential(self, q) -> float:
-        return 0.5 * float(q @ (self.omega2 @ q))
+    @property
+    def d(self) -> int:
+        return self.omega.size
 
-    def total_energy(self, q, p) -> float:
-        return 0.5 * float(p @ p) + self.fast_potential(q) + float(self.slow_potential(q))
+    @property
+    def omega2(self) -> np.ndarray:
+        """Dense diag(omega^2), built on each access; read-only."""
+        return _read_only(np.diag(self.w2))
+
+    def fast_potential(self, q) -> float | np.ndarray:
+        q = np.asarray(q, dtype=float)
+        return 0.5 * np.sum(self.w2 * q * q, axis=-1)
+
+    def total_energy(self, q, p) -> float | np.ndarray:
+        """H(q, p); a block of states (shape (n, d)) gives n energies."""
+        p = np.asarray(p, dtype=float)
+        return 0.5 * np.sum(p * p, axis=-1) + self.fast_potential(q) + self.slow_potential(q)
 
 
 @dataclass(frozen=True)
@@ -87,60 +99,55 @@ class FpuParams:
             raise ValueError("omega must be positive")
 
 
-def coupled_oscillator_build(omega: float) -> OscillatorySystem:
-    """Scalar model problem: unit soft spring superposed with a stiff one.
+def coupled_oscillator_build(omega) -> OscillatorySystem:
+    """Model problem: a unit soft spring superposed with a stiff one per axis.
 
-    Total potential is q^2/2 + omega^2 q^2 / 2; omega = 0 degenerates to the
-    plain unit harmonic oscillator, which is allowed for reduction checks.
+    Total potential is sum_i (1 + omega_i^2) q_i^2 / 2.  A scalar omega gives
+    the scalar model problem; a vector gives one decoupled axis per
+    frequency, so a frequency sweep steps as one system.  omega = 0
+    degenerates to the plain unit harmonic oscillator, which is allowed for
+    reduction checks.
     """
-    omega = float(omega)
-    if omega < 0.0:
-        raise ValueError("omega must be nonnegative")
 
     def slow_potential(q):
-        return 0.5 * float(q @ q)
+        return 0.5 * np.sum(q * q, axis=-1)
 
     def slow_force(q):
         return -np.asarray(q, dtype=float)
 
     return OscillatorySystem(
-        d=1,
-        omega2=np.array([[omega * omega]]),
+        omega=np.atleast_1d(omega),
         slow_potential=slow_potential,
         slow_force=slow_force,
         label="model",
-        omega_diag=np.array([omega]),
     )
+
+
+def _fpu_stretches(x: np.ndarray, ell: int) -> np.ndarray:
+    """Soft-spring elongations s_0..s_ell along the last axis.
+
+    s_i = (x0_i - x1_i) - (x0_{i-1} + x1_{i-1}) with wall terms x_{-1} =
+    x_ell = 0; s_ell is the right-wall spring up to a sign, which the even
+    potential and the odd cube in the force absorb.
+    """
+    x0, x1 = x[..., :ell], x[..., ell:]
+    s = np.zeros(x.shape[:-1] + (ell + 1,))
+    s[..., :-1] = x0 - x1
+    s[..., 1:] -= x0 + x1
+    return s
 
 
 def _fpu_slow_potential(ell: int) -> Callable[[np.ndarray], float]:
     def slow_potential(x):
-        x0, x1 = x[:ell], x[ell:]
-        end_l = x0[0] - x1[0]
-        end_r = x0[-1] + x1[-1]
-        mid = x0[1:] - x1[1:] - x0[:-1] - x1[:-1]
-        return 0.25 * (end_l ** 4 + float(np.sum(mid ** 4)) + end_r ** 4)
+        return 0.25 * np.sum(_fpu_stretches(x, ell) ** 4, axis=-1)
 
     return slow_potential
 
 
 def _fpu_slow_force(ell: int) -> Callable[[np.ndarray], np.ndarray]:
     def slow_force(x):
-        x0, x1 = x[:ell], x[ell:]
-        g0 = np.zeros(ell)
-        g1 = np.zeros(ell)
-        end_l = (x0[0] - x1[0]) ** 3
-        g0[0] += end_l
-        g1[0] -= end_l
-        end_r = (x0[-1] + x1[-1]) ** 3
-        g0[-1] += end_r
-        g1[-1] += end_r
-        mid = (x0[1:] - x1[1:] - x0[:-1] - x1[:-1]) ** 3
-        g0[1:] += mid
-        g1[1:] -= mid
-        g0[:-1] -= mid
-        g1[:-1] -= mid
-        return -np.concatenate([g0, g1])
+        c = _fpu_stretches(x, ell) ** 3
+        return np.concatenate((c[..., 1:] - c[..., :-1], c[..., :-1] + c[..., 1:]), axis=-1)
 
     return slow_force
 
@@ -149,18 +156,15 @@ def fpu_build(params: FpuParams) -> OscillatorySystem:
     """FPU lattice in averaged/extension coordinates.
 
     Positions are ordered (x_{0,1..ell}, x_{1,1..ell}): first the averaged
-    (soft) block, then the extension (stiff) block, so Omega^2 is
-    diag(0,...,0, omega^2,...,omega^2).
+    (soft) block, then the extension (stiff) block, so the frequencies are
+    (0,...,0, omega,...,omega).
     """
     ell, omega = params.ell, float(params.omega)
-    omega_diag = np.concatenate([np.zeros(ell), np.full(ell, omega)])
     return OscillatorySystem(
-        d=2 * ell,
-        omega2=np.diag(omega_diag * omega_diag),
+        omega=np.concatenate([np.zeros(ell), np.full(ell, omega)]),
         slow_potential=_fpu_slow_potential(ell),
         slow_force=_fpu_slow_force(ell),
         label="fpu",
-        omega_diag=omega_diag,
         ell=ell,
     )
 
@@ -203,7 +207,7 @@ def fpu_hamiltonian(sys: OscillatorySystem, state: State) -> float:
     if sys.ell is None:
         raise ValueError("fpu_hamiltonian needs a lattice system")
     ell = sys.ell
-    omega = sys.omega_diag[-1]
+    omega = sys.omega[-1]
     x1 = state.q[ell:]
     kinetic = 0.5 * float(state.p @ state.p)
     stiff = 0.5 * omega * omega * float(x1 @ x1)
@@ -214,12 +218,17 @@ def stiff_energies(sys: OscillatorySystem, state: State) -> tuple[np.ndarray, fl
     """Per-spring stiff energies I_j = (y_{1,j}^2 + omega^2 x_{1,j}^2) / 2 and their sum."""
     if sys.ell is None:
         raise ValueError("stiff_energies needs a lattice system")
-    ell = sys.ell
-    w = sys.omega_diag[ell:]
-    x1 = state.q[ell:]
-    y1 = state.p[ell:]
-    per_spring = 0.5 * (y1 * y1 + (w * x1) ** 2)
+    per_spring = stiff_energy_rows(sys, state.q, state.p)
     return per_spring, float(per_spring.sum())
+
+
+def stiff_energy_rows(sys: OscillatorySystem, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Per-spring stiff energies of a state or, row by row, of a block of states."""
+    ell = sys.ell
+    w = sys.omega[ell:]
+    x1 = q[..., ell:]
+    y1 = p[..., ell:]
+    return 0.5 * (y1 * y1 + (w * x1) ** 2)
 
 
 def fpu_initial_state(sys: OscillatorySystem) -> State:
@@ -227,7 +236,7 @@ def fpu_initial_state(sys: OscillatorySystem) -> State:
     if sys.ell is None:
         raise ValueError("fpu_initial_state needs a lattice system")
     ell = sys.ell
-    omega = sys.omega_diag[-1]
+    omega = sys.omega[-1]
     q = np.zeros(2 * ell)
     p = np.zeros(2 * ell)
     q[0] = 1.0

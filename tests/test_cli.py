@@ -82,6 +82,34 @@ class TestIntegrate:
         )
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--t-end", "inf"), ("--h", "inf"), ("--omega", "nan")],
+    )
+    @pytest.mark.parametrize("system", ["model", "fpu"])
+    def test_non_finite_input_is_config_error(self, tmp_path, system, flag, value):
+        args = {"--h": "0.1", "--t-end": "1.0", "--omega": "50.0", flag: value}
+        out = tmp_path / "x.csv"
+        proc = run_cli(
+            "integrate", "--system", system, "--method", "imex",
+            *[item for pair in args.items() for item in pair], "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("oscint: error: ")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_unallocatable_sample_block_is_config_error(self, tmp_path):
+        # 1e16 recorded samples: the sample block is allocated up front and
+        # cannot be, which must fail fast and cleanly
+        proc = run_cli(
+            "integrate", "--system", "model", "--method", "imex",
+            "--h", "0.1", "--t-end", "1e15", "--out", str(tmp_path / "x.csv"),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("oscint: error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_unwritable_out_is_config_error(self, tmp_path):
         proc = run_cli(
             "integrate", "--system", "model", "--method", "sv",
@@ -127,3 +155,14 @@ class TestConvergence:
         proc = run_cli("convergence", "--method", "midpoint-full", "--h", "1.0")
         assert proc.returncode == 3
         assert "status=blowup" in proc.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, oscint; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -24,14 +24,11 @@ from oscint.systems import OscillatorySystem, State
 
 
 def _fast_only_system(d: int, omega: float) -> OscillatorySystem:
-    w = np.full(d, float(omega))
     return OscillatorySystem(
-        d=d,
-        omega2=np.diag(w * w),
+        omega=np.full(d, float(omega)),
         slow_potential=lambda q: 0.0,
         slow_force=lambda q: np.zeros(d),
         label="fast-only",
-        omega_diag=w,
     )
 
 
@@ -61,8 +58,7 @@ class TestLdValue:
     def test_split_equals_endpoint_when_no_fast_part(self, fpu_sys):
         # with Omega = 0 the split quadrature coincides with the endpoint one
         sys_ = OscillatorySystem(
-            d=6,
-            omega2=np.zeros((6, 6)),
+            omega=np.zeros(6),
             slow_potential=fpu_sys.slow_potential,
             slow_force=fpu_sys.slow_force,
             label="soft-only",

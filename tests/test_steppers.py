@@ -7,7 +7,6 @@ from oscint.steppers import (
     BLOWUP,
     COMPLETED,
     Method,
-    MissingDiagonalOmega,
     NoConvergence,
     StepperSpec,
     integrate,
@@ -21,22 +20,21 @@ from oscint.steppers import (
     step_stormer_verlet,
 )
 from oscint.systems import (
+    FpuParams,
     OscillatorySystem,
     State,
     coupled_oscillator_build,
+    fpu_build,
     fpu_initial_state,
 )
 
 
 def _fast_only_system(d: int, omega: float) -> OscillatorySystem:
-    w = np.full(d, float(omega))
     return OscillatorySystem(
-        d=d,
-        omega2=np.diag(w * w),
+        omega=np.full(d, float(omega)),
         slow_potential=lambda q: 0.0,
         slow_force=lambda q: np.zeros(d),
         label="fast-only",
-        omega_diag=w,
     )
 
 
@@ -115,17 +113,6 @@ class TestStepEquivalences:
         a = step_modified_impulse(sys_, s0, 0.25)
         b = step_imex(sys_, s0, 0.25)
         assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)
-
-    def test_modified_impulse_needs_diagonal_omega(self):
-        sys_ = OscillatorySystem(
-            d=1,
-            omega2=np.array([[4.0]]),
-            slow_potential=lambda q: 0.0,
-            slow_force=lambda q: np.zeros(1),
-            label="no-diag",
-        )
-        with pytest.raises(MissingDiagonalOmega):
-            step_modified_impulse(sys_, State(0.0, [1.0], [0.0]), 0.1)
 
     def test_respa_single_substep_is_verlet(self, fpu_sys):
         s0 = _random_fpu_state(2)
@@ -234,6 +221,8 @@ class TestStepperSpec:
             {"h": 0.1, "substeps": 0},
             {"h": 0.1, "fp_tol": 0.0},
             {"h": 0.1, "fp_max_iter": 0},
+            {"h": float("inf")},
+            {"h": float("nan")},
         ],
     )
     def test_invalid_knobs_rejected(self, kwargs):
@@ -339,3 +328,57 @@ class TestIntegrate:
             integrate(model50, spec, State(0.0, [1.0], [0.0]), 1.0, stride=0)
         with pytest.raises(ValueError):
             integrate(model50, spec, State(2.0, [1.0], [0.0]), 1.0)
+
+    @pytest.mark.parametrize(
+        "t_end, q0",
+        [(float("inf"), 1.0), (float("nan"), 1.0), (1.0, float("nan")), (1.0, float("inf"))],
+    )
+    def test_non_finite_inputs_rejected(self, model50, t_end, q0):
+        spec = StepperSpec(method=Method.IMEX, h=0.1)
+        with pytest.raises(ValueError, match="finite"):
+            integrate(model50, spec, State(0.0, [q0], [0.0]), t_end)
+
+    @pytest.mark.parametrize(
+        "method", [Method.IMEX, Method.SV, Method.MODIFIED_IMPULSE, Method.RESPA]
+    )
+    def test_slow_force_evaluated_once_per_step(self, method):
+        # the force at the end of a step is the force at the start of the
+        # next: n steps cost n + 1 evaluations, the first at the start state
+        sys_ = fpu_build(FpuParams(ell=3, omega=50.0))
+        calls = []
+        force = sys_.slow_force
+
+        def counted(q):
+            calls.append(1)
+            return force(q)
+
+        object.__setattr__(sys_, "slow_force", counted)
+        spec = StepperSpec(method=method, h=0.01, substeps=3)
+        traj = integrate(sys_, spec, fpu_initial_state(sys_), 0.995)
+        assert traj.completed
+        assert len(traj.times) - 1 == 100
+        assert len(calls) == 101
+
+    @pytest.mark.parametrize("stride", [2, 3, 7])
+    def test_stride_subsamples_the_stride_one_run(self, fpu_sys, fpu_state0, stride):
+        spec = StepperSpec(method=Method.IMEX, h=0.05)
+        full = integrate(fpu_sys, spec, fpu_state0, 2.0)
+        sub = integrate(fpu_sys, spec, fpu_state0, 2.0, stride=stride)
+        for got, want in (
+            (sub.times, full.times),
+            (sub.qs, full.qs),
+            (sub.ps, full.ps),
+            (sub.energies, full.energies),
+            (sub.stiff, full.stiff),
+        ):
+            assert np.array_equal(got, want[::stride])
+        assert sub.final_state.t == full.times[-1]
+        assert np.array_equal(sub.final_state.q, full.qs[-1])
+        assert np.array_equal(sub.final_state.p, full.ps[-1])
+
+    def test_tiny_span_takes_one_step(self, model50):
+        # (t_end - t0)/h underflows to 0 here; the run must still step once
+        spec = StepperSpec(method=Method.IMEX, h=1e10)
+        traj = integrate(model50, spec, State(0.0, [1.0], [0.0]), 1e-320)
+        assert len(traj.times) == 2
+        assert traj.final_state.t == 1e10

@@ -46,7 +46,7 @@ class TestCoupledOscillator:
         assert sys_.slow_potential(q) == 2.0
         assert sys_.slow_force(q) == pytest.approx([-2.0])
         assert np.array_equal(sys_.omega2, [[2500.0]])
-        assert np.array_equal(sys_.omega_diag, [50.0])
+        assert np.array_equal(sys_.omega, [50.0])
 
     def test_zero_point(self):
         sys_ = coupled_oscillator_build(1.0)
@@ -74,36 +74,35 @@ class TestCoupledOscillator:
 
 class TestSystemValidation:
     def test_omega2_shape_checked(self):
+        # the frequencies are one vector, one entry per axis
         with pytest.raises(ValueError):
             OscillatorySystem(
-                d=2,
-                omega2=np.zeros((1, 1)),
+                omega=np.zeros((2, 2)),
                 slow_potential=lambda q: 0.0,
                 slow_force=lambda q: np.zeros(2),
                 label="bad",
             )
 
-    def test_omega_diag_consistency_checked(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            OscillatorySystem(
-                d=1,
-                omega2=np.array([[4.0]]),
-                slow_potential=lambda q: 0.0,
-                slow_force=lambda q: np.zeros(1),
-                label="bad",
-                omega_diag=np.array([3.0]),
-            )
-
     def test_negative_omega_diag_rejected(self):
         with pytest.raises(ValueError):
             OscillatorySystem(
-                d=1,
-                omega2=np.array([[4.0]]),
+                omega=np.array([-2.0]),
                 slow_potential=lambda q: 0.0,
                 slow_force=lambda q: np.zeros(1),
                 label="bad",
-                omega_diag=np.array([-2.0]),
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_omega_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            coupled_oscillator_build(bad)
+        with pytest.raises(ValueError):
+            fpu_build(FpuParams(ell=2, omega=bad))
+
+    def test_omega2_is_a_read_only_dense_view(self, fpu_sys):
+        assert not fpu_sys.omega2.flags.writeable
+        assert np.array_equal(fpu_sys.omega2, np.diag(fpu_sys.w2))
+        assert fpu_sys.d == 6
 
 
 class TestFpuBuild:
