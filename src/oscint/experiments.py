@@ -20,6 +20,7 @@ from .steppers import (
     StepperSpec,
     Trajectory,
     integrate,
+    step_count,
     step_imex,
     step_respa,
 )
@@ -39,6 +40,12 @@ from .systems import (
 # to a shear that amplifies position seeds by ~100x but leaves a pure momentum
 # start almost untouched, and the resonance spikes ride on that channel.
 SWEEP_AMPLITUDE = 1.0
+
+# Work bound of one resonance sweep, in row-steps: each of the 2n rows (RESPA
+# and IMEX per grid point) costs t_end/h matrix steps, plus two RESPA steps of
+# `substeps` substeps to find its matrix.  The defaults take 9.2e6.  Checked
+# before anything is allocated.
+MAX_SWEEP_ROW_STEPS = 10 ** 9
 
 
 @dataclass(frozen=True)
@@ -60,25 +67,48 @@ def _linear_max_energy_errors(
 
     The model problem is linear, so iterating the one-step matrix of the
     production stepper reproduces its trajectory; energy is evaluated at
-    every step.  Errors are capped; points that overflow stay at the cap.
+    every step.  Each step is x1 = a x0 + b y0, y1 = c x0 + d y0 on the four
+    coefficient vectors of `mats`, and H = 0.5 y^2 + (0.5 spring) x^2, all
+    into preallocated buffers.
+
+    Errors are capped at ENERGY_ERROR_CAP, and a diverging row reads the cap
+    with no per-step test or reset.  From a finite state the energy, a sum
+    of nonnegative terms, is finite or +inf, and fmax keeps an inf.  A state
+    that turns non-finite stays so (inf and NaN propagate through both rows
+    of the product); fmax skips its NaN energies, and such rows are set to
+    inf after the loop.  So a row reads inf exactly when some step's energy
+    was non-finite, and the final minimum turns it into the cap.  In the
+    sweeps the inf comes first: 0.5 x^2 overflows at |x| ~ 1e154, and with
+    matrix entries below ~1e5 no single step carries the state from there
+    to the inf - inf of products near 1e308.
     """
     n = mats.shape[0]
-    x = np.empty((n, 2))
-    x[:, 0] = q0
-    x[:, 1] = p0
-    h0 = 0.5 * x[:, 1] ** 2 + 0.5 * spring * x[:, 0] ** 2
+    a, b = mats[:, 0, 0].copy(), mats[:, 0, 1].copy()
+    c, d = mats[:, 1, 0].copy(), mats[:, 1, 1].copy()
+    x0, y0 = np.empty(n), np.empty(n)
+    x0[:], y0[:] = q0, p0
+    half_spring = 0.5 * spring
+    h0 = 0.5 * y0 ** 2 + half_spring * x0 ** 2
     err = np.zeros(n)
+    x1, y1, tmp, energy = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            x = np.einsum("nij,nj->ni", mats, x)
-            energy = 0.5 * x[:, 1] ** 2 + 0.5 * spring * x[:, 0] ** 2
-            diff = np.abs(energy - h0)
-            bad = ~np.isfinite(diff)
-            if bad.any():
-                err[bad] = ENERGY_ERROR_CAP
-                x[bad] = 0.0
-                diff = np.where(bad, 0.0, diff)
-            err = np.fmax(err, diff)
+            np.multiply(a, x0, out=x1)
+            np.multiply(b, y0, out=tmp)
+            np.add(x1, tmp, out=x1)
+            np.multiply(c, x0, out=y1)
+            np.multiply(d, y0, out=tmp)
+            np.add(y1, tmp, out=y1)
+            np.multiply(y1, y1, out=energy)
+            np.multiply(energy, 0.5, out=energy)
+            np.multiply(x1, x1, out=tmp)
+            np.multiply(tmp, half_spring, out=tmp)
+            np.add(energy, tmp, out=energy)
+            np.subtract(energy, h0, out=energy)
+            np.abs(energy, out=energy)
+            np.fmax(err, energy, out=err)
+            x0, x1, y0, y1 = x1, x0, y1, y0
+    err[~(np.isfinite(x0) & np.isfinite(y0))] = np.inf
     return np.minimum(err, ENERGY_ERROR_CAP)
 
 
@@ -98,6 +128,11 @@ def resonance_sweep(
         raise ValueError("sweep parameters must be positive and finite")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
+    rows = 2.0 * sweep_max / grid
+    if substeps > MAX_SWEEP_ROW_STEPS or not (
+        rows * (t_end / h + 2.0 * substeps) <= MAX_SWEEP_ROW_STEPS
+    ):
+        raise ValueError(f"the sweep takes more than {MAX_SWEEP_ROW_STEPS:.0e} row-steps")
     n = int(math.floor(sweep_max / grid + 1e-9))
     if n < 1:
         raise ValueError("sweep grid is empty")
@@ -164,14 +199,17 @@ def fpu_exchange(
     sys = fpu_build(FpuParams(ell, omega))
     state0 = fpu_initial_state(sys)
     spec = StepperSpec(method=method, h=h, substeps=substeps)
+    ref_spec = None
+    if reference_h is not None:
+        ref_spec = StepperSpec(method=Method.SV, h=reference_h)
+        # reject an unbounded reference before the main run
+        step_count(ref_spec, state0.t, t_end)
     traj = integrate(sys, spec, state0, t_end, stride=stride)
     reference = None
     sup_diffs = None
-    if reference_h is not None:
+    if ref_spec is not None:
         ref_stride = max(1, round(0.01 / reference_h))
-        reference = integrate(
-            sys, StepperSpec(method=Method.SV, h=reference_h), state0, t_end, stride=ref_stride
-        )
+        reference = integrate(sys, ref_spec, state0, t_end, stride=ref_stride)
         if traj.completed and reference.completed:
             sup_diffs = windowed_stiff_diffs(traj, reference, window)
     return ExchangeResult(traj, reference, sup_diffs, window)

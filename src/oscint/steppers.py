@@ -9,11 +9,13 @@ the whole potential, the multiple time-stepping impulse method (r-RESPA),
 and an impulse variant whose fast rotation uses per-axis modified
 frequencies.
 
-Each method is an array kernel (q, p, f) -> (q1, p1, f1): f is the slow
-force at q (None to have the kernel compute it) and f1 the slow force at
-q1, so a run evaluates the slow force once per step (first same as last).
-integrate loops over kernels on raw arrays; the public step_* functions are
-State wrappers over the same kernels.
+Each method is an array kernel (q, p, k) -> (q1, p1, k1): k is the half
+kick at q, (h/2) times the force the method kicks with (None to have the
+kernel compute it), and k1 the half kick at q1.  Step n's closing kick and
+step n+1's opening kick are one increment, so a run evaluates the slow
+force once per step (first same as last) and scales it once.  integrate
+loops over kernels on raw arrays; the public step_* functions are State
+wrappers over the same kernels.
 """
 from __future__ import annotations
 
@@ -28,10 +30,15 @@ from .linalg import spd_factor
 from .systems import OscillatorySystem, State, stiff_energy_rows
 
 BLOWUP_NORM_CAP = 1e8
+# Work bound of one integrate run, each RESPA substep counted as a step;
+# checked before anything is allocated.  At ~20 us per lattice step it is
+# over half an hour of stepping.
+MAX_STEPS = 10 ** 8
 
 COMPLETED = "completed"
 BLOWUP = "blowup"
 
+# (q, p, half kick at q or None) -> (q1, p1, half kick at q1 or None)
 Kernel = Callable[
     [np.ndarray, np.ndarray, np.ndarray | None],
     tuple[np.ndarray, np.ndarray, np.ndarray | None],
@@ -134,32 +141,34 @@ def _fast_verlet(w2: np.ndarray, h: float, substeps: int) -> FastMap:
 
 
 def _splitting_kernel(force, fast: FastMap, h: float) -> Kernel:
-    """Half slow kick, the fast map across h, half slow kick."""
+    """Half slow kick, the fast map across h, half slow kick; the carried
+    half kick is (h/2) g(q)."""
     half = 0.5 * h
 
-    def kernel(q, p, f):
-        if f is None:
-            f = force(q)
-        q1, p1 = fast(q, p + half * f)
-        f1 = force(q1)
-        return q1, p1 + half * f1, f1
+    def kernel(q, p, k):
+        if k is None:
+            k = half * force(q)
+        q1, p1 = fast(q, p + k)
+        k1 = half * force(q1)
+        return q1, p1 + k1, k1
 
     return kernel
 
 
 def _verlet_kernel(sys: OscillatorySystem, h: float, mass_override=None) -> Kernel:
-    """Kick-drift-kick on the full force; drift uses M^(-1) when a mass is given."""
+    """Kick-drift-kick on the full force; drift uses M^(-1) when a mass is
+    given.  The carried half kick is (h/2)(g(q) - Omega^2 q)."""
     force, w2 = sys.slow_force, sys.w2
     half = 0.5 * h
     solve = None if mass_override is None else spd_factor(mass_override).solve
 
-    def kernel(q, p, f):
-        if f is None:
-            f = force(q)
-        p = p + half * (f - w2 * q)
+    def kernel(q, p, k):
+        if k is None:
+            k = half * (force(q) - w2 * q)
+        p = p + k
         q1 = q + h * (p if solve is None else solve(p))
-        f1 = force(q1)
-        return q1, p + half * (f1 - w2 * q1), f1
+        k1 = half * (force(q1) - w2 * q1)
+        return q1, p + k1, k1
 
     return kernel
 
@@ -173,7 +182,7 @@ def _midpoint_full_kernel(
     f = g - Omega^2 q until successive iterates differ by <= fp_tol in the
     max norm.  Contracts only while (h^2/4) Lip(f) < 1, so this is a
     small-step baseline.  It evaluates the slow force at midpoints only, so
-    it ignores f and returns None for f1.
+    it ignores the carried kick and returns None in its place.
     """
     force, w2 = sys.slow_force, sys.w2
     quarter_h2 = 0.25 * h * h
@@ -181,7 +190,7 @@ def _midpoint_full_kernel(
     def total_force(m):
         return force(m) - w2 * m
 
-    def kernel(q, p, f):
+    def kernel(q, p, k):
         base = q + 0.5 * h * p
         m = base
         with np.errstate(over="ignore", invalid="ignore"):
@@ -310,6 +319,27 @@ class Trajectory:
         return State(float(self.times[i]), self.qs[i].copy(), self.ps[i].copy())
 
 
+def step_count(spec: StepperSpec, t0: float, t_end: float) -> int:
+    """Steps integrate takes from t0 to t_end: ceil((t_end - t0)/h), at least one.
+
+    Rejects a non-finite or empty span and a run of more than MAX_STEPS
+    steps (RESPA's substeps counted), before any work is done.
+    """
+    if not (math.isfinite(t0) and math.isfinite(t_end)):
+        raise ValueError("t_end and the initial time must be finite")
+    if not t_end > t0:
+        raise ValueError("t_end must exceed the initial time")
+    steps = (t_end - t0) / spec.h
+    per_step = spec.substeps if spec.method is Method.RESPA else 1
+    if per_step > MAX_STEPS or not steps * per_step <= MAX_STEPS:
+        raise ValueError(
+            f"a run from t={t0:g} to {t_end:g} at h={spec.h:g} takes more than "
+            f"{MAX_STEPS:.0e} steps"
+        )
+    # at least one step: the quotient can underflow to 0 for a tiny span
+    return max(1, math.ceil(steps))
+
+
 def integrate(
     sys: OscillatorySystem,
     spec: StepperSpec,
@@ -317,7 +347,7 @@ def integrate(
     t_end: float,
     stride: int = 1,
 ) -> Trajectory:
-    """Run ceil((t_end - t0)/h) steps, recording every stride-th state.
+    """Run step_count(spec, t0, t_end) steps, recording every stride-th state.
 
     Sample times are computed as t0 + n*h from the integer step count.  A
     non-finite state or one exceeding BLOWUP_NORM_CAP in the max norm stops
@@ -329,21 +359,16 @@ def integrate(
     if stride < 1:
         raise ValueError("stride must be >= 1")
     t0 = state0.t
-    if not (math.isfinite(t0) and math.isfinite(t_end)):
-        raise ValueError("t_end and the initial time must be finite")
-    if not t_end > t0:
-        raise ValueError("t_end must exceed the initial time")
+    n_steps = step_count(spec, t0, t_end)
     if not (np.isfinite(state0.q).all() and np.isfinite(state0.p).all()):
         raise ValueError("the initial state must be finite")
     kernel = _kernel(sys, spec)
-    # at least one step: the quotient can underflow to 0 for a tiny span
-    n_steps = max(1, math.ceil((t_end - t0) / spec.h))
     # the start, every stride-th state, and a possible blow-up sample
     n_rows = n_steps // stride + 2
     qs = np.empty((n_rows, sys.d))
     ps = np.empty((n_rows, sys.d))
     steps = np.empty(n_rows, dtype=np.int64)
-    q, p, f = state0.q, state0.p, None
+    q, p, k = state0.q, state0.p, None
     qs[0], ps[0], steps[0] = q, p, 0
     rows = 1
     n = 0
@@ -351,7 +376,7 @@ def integrate(
     status, t_blowup, cause = COMPLETED, None, None
     for n in range(1, n_steps + 1):
         try:
-            q, p, f = kernel(q, p, f)
+            q, p, k = kernel(q, p, k)
         except NoConvergence as exc:
             q = p = np.full(sys.d, np.nan)
             cause = str(exc)

@@ -5,12 +5,12 @@ import sys
 import pytest
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=300):
     return subprocess.run(
         [sys.executable, "-m", "oscint", *args],
         capture_output=True,
         text=True,
-        timeout=300,
+        timeout=timeout,
     )
 
 
@@ -155,6 +155,28 @@ class TestConvergence:
         proc = run_cli("convergence", "--method", "midpoint-full", "--h", "1.0")
         assert proc.returncode == 3
         assert "status=blowup" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("integrate", "--system", "model", "--method", "imex", "--h", "1e-300", "--t-end", "1"),
+        ("resonance-sweep", "--grid", "1e-12"),
+        ("resonance-sweep", "--substeps", "100000000", "--t-end", "1"),
+        ("fpu-exchange", "--reference-h", "1e-9", "--t-end", "1e3"),
+    ],
+    ids=["integrate-h", "sweep-grid", "sweep-substeps", "exchange-reference-h"],
+)
+def test_unbounded_work_is_config_error(tmp_path, args):
+    # each would allocate terabytes or step for days; the work bound is
+    # checked up front, so the command fails within seconds
+    out = tmp_path / "x.csv"
+    proc = run_cli(*args, "--out", str(out), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("oscint: error: ")
+    assert "takes more than" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_import_leaves_scipy_unloaded():

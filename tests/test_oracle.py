@@ -1,11 +1,17 @@
-"""Production steppers against a plain dense oracle of the same maps.
+"""Production steppers against a plain dense oracle of the same maps, and
+against frozen copies of earlier hot loops.
 
 The oracle keeps the textbook form of each method: a dense Omega^2, the
 implicit midpoint fast step as a linear solve with I + (h^2/4) Omega^2
 (numpy.linalg.solve), and the lattice slow force assembled spring by spring
 from slices.  Production steps per axis, fuses the force and reuses the
-force at the end of a step as the force at the start of the next, so the
-two agree at roundoff, not bit for bit.
+half kick at the end of a step as the half kick at the start of the next,
+so the two agree at roundoff, not bit for bit.
+
+The frozen copies are the kernels that carried the raw slow force and the
+resonance sweep's einsum loop with its per-step blow-up reset.  Their
+replacements perform the same floating-point operations on the same
+operands, so they are pinned bit for bit (np.array_equal).
 
 Bounds: 1e-13 (1 + |x|) componentwise over 1e3 steps at h = 0.01.  The
 lattice is chaotic, so roundoff grows along a run.  Started one ulp apart
@@ -16,9 +22,16 @@ h = 0.03, where a 1e-13 bound could not tell a correct map from a wrong one.
 import numpy as np
 import pytest
 
+from oscint import experiments
+from oscint.analysis import ENERGY_ERROR_CAP, modified_mass
+from oscint.experiments import resonance_sweep
+from oscint.linalg import spd_factor
 from oscint.steppers import (
     Method,
     StepperSpec,
+    _fast_midpoint,
+    _fast_rotation,
+    _fast_verlet,
     integrate,
     step_imex,
     step_modified_impulse,
@@ -164,3 +177,160 @@ def test_fused_force_matches_slicing_force(ell):
         want = want_force(x)
         got = sys_.slow_force(x)
         assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
+
+
+def frozen_splitting_kernel(force, fast, h):
+    """The splitting kernel that carried the slow force f instead of (h/2) f."""
+    half = 0.5 * h
+
+    def kernel(q, p, f):
+        if f is None:
+            f = force(q)
+        q1, p1 = fast(q, p + half * f)
+        f1 = force(q1)
+        return q1, p1 + half * f1, f1
+
+    return kernel
+
+
+def frozen_verlet_kernel(sys_, h, mass_override=None):
+    """The Verlet kernel that carried the slow force and rebuilt the kick."""
+    force, w2 = sys_.slow_force, sys_.w2
+    half = 0.5 * h
+    solve = None if mass_override is None else spd_factor(mass_override).solve
+
+    def kernel(q, p, f):
+        if f is None:
+            f = force(q)
+        p = p + half * (f - w2 * q)
+        q1 = q + h * (p if solve is None else solve(p))
+        f1 = force(q1)
+        return q1, p + half * (f1 - w2 * q1), f1
+
+    return kernel
+
+
+def frozen_linear_max_energy_errors(mats, spring, n_steps, q0, p0):
+    """The sweep's einsum loop, which reset diverged rows to the cap each step."""
+    n = mats.shape[0]
+    x = np.empty((n, 2))
+    x[:, 0] = q0
+    x[:, 1] = p0
+    h0 = 0.5 * x[:, 1] ** 2 + 0.5 * spring * x[:, 0] ** 2
+    err = np.zeros(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            x = np.einsum("nij,nj->ni", mats, x)
+            energy = 0.5 * x[:, 1] ** 2 + 0.5 * spring * x[:, 0] ** 2
+            diff = np.abs(energy - h0)
+            bad = ~np.isfinite(diff)
+            if bad.any():
+                err[bad] = ENERGY_ERROR_CAP
+                x[bad] = 0.0
+                diff = np.where(bad, 0.0, diff)
+            err = np.fmax(err, diff)
+    return np.minimum(err, ENERGY_ERROR_CAP)
+
+
+def _pinned(sys_, name):
+    """(spec, frozen kernel, public step) of one pinned method."""
+    force = sys_.slow_force
+    if name == "sv":
+        return (StepperSpec(Method.SV, H), frozen_verlet_kernel(sys_, H),
+                lambda s: step_stormer_verlet(sys_, s, H))
+    if name == "sv-mass":
+        mass = modified_mass(H, sys_.omega2)
+        return (StepperSpec(Method.SV, H, mass_override=mass), frozen_verlet_kernel(sys_, H, mass),
+                lambda s: step_stormer_verlet(sys_, s, H, mass_override=mass))
+    if name == "imex":
+        return (StepperSpec(Method.IMEX, H),
+                frozen_splitting_kernel(force, _fast_midpoint(sys_.w2, H), H),
+                lambda s: step_imex(sys_, s, H))
+    if name == "respa":
+        return (StepperSpec(Method.RESPA, H, substeps=SUBSTEPS),
+                frozen_splitting_kernel(force, _fast_verlet(sys_.w2, H, SUBSTEPS), H),
+                lambda s: step_respa(sys_, s, H, SUBSTEPS))
+    return (StepperSpec(Method.MODIFIED_IMPULSE, H),
+            frozen_splitting_kernel(force, _fast_rotation(sys_.omega, H), H),
+            lambda s: step_modified_impulse(sys_, s, H))
+
+
+PINNED = ["sv", "sv-mass", "imex", "respa", "modified-impulse"]
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_kernels_match_frozen_kernels_bit_for_bit(lattice, name):
+    sys_, state0 = lattice
+    spec, frozen, public_step = _pinned(sys_, name)
+    q, p, f = state0.q, state0.p, None
+    want_q, want_p = [q], [p]
+    for _ in range(N_STEPS):
+        q, p, f = frozen(q, p, f)
+        want_q.append(q)
+        want_p.append(p)
+    want_q, want_p = np.array(want_q), np.array(want_p)
+
+    traj = integrate(sys_, spec, state0, (N_STEPS - 0.5) * H)
+    assert len(traj.times) == N_STEPS + 1
+    assert np.array_equal(traj.qs, want_q) and np.array_equal(traj.ps, want_p)
+
+    s = state0
+    got_q, got_p = [s.q], [s.p]
+    for _ in range(N_STEPS):
+        s = public_step(s)
+        got_q.append(s.q)
+        got_p.append(s.p)
+    assert np.array_equal(np.array(got_q), want_q) and np.array_equal(np.array(got_p), want_p)
+
+
+def _sweep_errors(rows):
+    return np.array([(r.err_respa, r.err_imex) for r in rows])
+
+
+def _frozen_sweep(monkeypatch, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "_linear_max_energy_errors", frozen_linear_max_energy_errors)
+        return resonance_sweep(**kwargs)
+
+
+@pytest.mark.parametrize("h", [0.1, 0.0987])
+def test_sweep_matches_frozen_loop_bit_for_bit(monkeypatch, h):
+    got = _sweep_errors(resonance_sweep(h=h))
+    assert np.array_equal(got, _sweep_errors(_frozen_sweep(monkeypatch, h=h)))
+
+
+def test_sweep_overflow_rows_read_the_cap(monkeypatch):
+    # one RESPA substep makes most impulse rows diverge to overflow; the
+    # sweep has no per-step reset, and still reads exactly the cap there
+    kwargs = dict(h=0.1, substeps=1, t_end=1000.0)
+    got = _sweep_errors(resonance_sweep(**kwargs))
+    assert np.array_equal(got, _sweep_errors(_frozen_sweep(monkeypatch, **kwargs)))
+    err_respa, err_imex = got[:, 0], got[:, 1]
+    assert len(got) == 450
+    assert int(np.sum(err_respa == ENERGY_ERROR_CAP)) == 387
+    assert np.all(np.isfinite(err_imex)) and np.all(err_imex < 1.0)
+
+
+def test_sweep_loop_matches_frozen_loop_on_random_matrices():
+    # the sweep's own errors peak where the energy is mostly kinetic, so
+    # they miss a last-bit change of the potential term; random matrices
+    # and starts reach every term, and over half of them diverge
+    rng = np.random.default_rng(7)
+    n = 1000
+    spring = rng.uniform(0.5, 2e4, size=n)
+    args = (rng.uniform(-1.5, 1.5, size=(n, 2, 2)), spring, 200,
+            1.0 / np.sqrt(spring), rng.uniform(-1.0, 1.0, size=n))
+    got = experiments._linear_max_energy_errors(*args)
+    assert np.array_equal(got, frozen_linear_max_energy_errors(*args))
+    assert 0 < np.sum(got == ENERGY_ERROR_CAP) < n
+
+
+def test_sweep_loop_caps_a_row_that_jumps_to_nan():
+    # entries of 1e300 take a finite state straight to inf - inf = NaN, with
+    # no inf energy on the way; the row must still read the cap
+    mats = np.array([[[1e300, -1e300], [1e300, -1e300]], [[1.0, 0.0], [0.0, 1.0]]])
+    spring = np.array([1.0, 1.0])
+    args = (mats, spring, 3, 1e10, 1e10)
+    got = experiments._linear_max_energy_errors(*args)
+    assert np.array_equal(got, frozen_linear_max_energy_errors(*args))
+    assert np.array_equal(got, [ENERGY_ERROR_CAP, 0.0])
