@@ -51,11 +51,18 @@ def _write_lines(path: str, lines: list[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _trajectory_lines(traj: Trajectory, meta: dict) -> list[str]:
-    meta = dict(meta)
-    meta["status"] = traj.status
+def _stop_meta(traj: Trajectory) -> dict:
+    """Status, and for a run that stopped early its time and cause; the
+    cause is one space-free token, such as state_norm_cap_exceeded."""
+    meta = {"status": traj.status}
     if traj.t_blowup is not None:
         meta["t_blowup"] = traj.t_blowup
+        meta["blowup_cause"] = "_".join(traj.blowup_cause.split())
+    return meta
+
+
+def _trajectory_lines(traj: Trajectory, meta: dict) -> list[str]:
+    meta = {**meta, **_stop_meta(traj)}
     d = traj.qs.shape[1]
     header = ["t"] + [f"q_{i}" for i in range(1, d + 1)] + [f"p_{i}" for i in range(1, d + 1)]
     header.append("H")
@@ -149,10 +156,8 @@ def cmd_fpu_exchange(args) -> int:
         "omega": args.omega,
         "stride": args.stride,
         "window": args.window,
-        "status": traj.status,
+        **_stop_meta(traj),
     }
-    if traj.t_blowup is not None:
-        meta["t_blowup"] = traj.t_blowup
     if args.reference_h is not None:
         meta["reference_h"] = args.reference_h
     ell = traj.stiff.shape[1] - 1

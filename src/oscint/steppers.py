@@ -9,25 +9,30 @@ the whole potential, the multiple time-stepping impulse method (r-RESPA),
 and an impulse variant whose fast rotation uses per-axis modified
 frequencies.
 
-Each method is an array kernel (q, p, k) -> (q1, p1, k1): k is the half
-kick at q, (h/2) times the force the method kicks with (None to have the
-kernel compute it), and k1 the half kick at q1.  Step n's closing kick and
-step n+1's opening kick are one increment, so a run evaluates the slow
-force once per step (first same as last) and scales it once.  integrate
-loops over kernels on raw arrays; the public step_* functions are State
-wrappers over the same kernels.
+Each method is a kernel bound to one run's state buffers: a builder takes
+the buffers q and p, sets up once the views, scratch and bound slow force
+(systems.bind_slow_force) the method needs, and returns a call that
+advances q and p by one step in place.  A step allocates nothing when the
+slow force is a SlowForce.  The splitting and Verlet kernels keep the half
+kick k, (h/2) times the force they kick with, in a buffer of their own:
+binding evaluates it at the start state, and step n's closing kick is step
+n+1's opening kick, so a run of n steps evaluates the slow force n + 1
+times.  integrate holds the state in one buffer z = [q | p] and records
+copies of it; the public step_* functions copy their input state into
+fresh buffers, bind, step once and return a fresh State.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .linalg import spd_factor
-from .systems import OscillatorySystem, State, stiff_energy_rows
+from .systems import OscillatorySystem, State, bind_slow_force, stiff_energy_rows
 
 BLOWUP_NORM_CAP = 1e8
 # Work bound of one integrate run, each RESPA substep counted as a step;
@@ -38,12 +43,30 @@ MAX_STEPS = 10 ** 8
 COMPLETED = "completed"
 BLOWUP = "blowup"
 
-# (q, p, half kick at q or None) -> (q1, p1, half kick at q1 or None)
-Kernel = Callable[
-    [np.ndarray, np.ndarray, np.ndarray | None],
-    tuple[np.ndarray, np.ndarray, np.ndarray | None],
-]
-FastMap = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+# A kernel is bound to one run's buffers q and p and advances them by one
+# step in place each time it is called; a fast map is bound the same way
+# and advances them across h under the stiff force alone.
+Kernel = Callable[[], None]
+FastMap = Callable[[], None]
+
+
+def _scratch(like: np.ndarray, n: int) -> list[np.ndarray]:
+    """n scratch buffers shaped like the state.
+
+    The kernels never write a ufunc's result over one of its inputs,
+    except where a step accumulates into q or p: numpy treats an in-place
+    operation on a one-element array as a possible reduction and takes its
+    slow buffered path (about 1 us a call), which the d = 1 model system
+    would pay on every such operation.
+    """
+    return [np.empty(like.shape) for _ in range(n)]
+
+
+def _operand(value: float, like: np.ndarray) -> np.ndarray:
+    """value repeated over like's shape.  As a ufunc operand it gives the
+    products a scalar gives, without numpy's per-call scalar conversion,
+    which costs more than the arithmetic on a short state vector."""
+    return np.full(like.shape, value)
 
 
 class NoConvergence(RuntimeError):
@@ -84,24 +107,34 @@ class StepperSpec:
             raise ValueError("fp_tol must be positive and fp_max_iter >= 1")
 
 
-def _fast_midpoint(w2: np.ndarray, h: float) -> FastMap:
+def _fast_midpoint(w2: np.ndarray, h: float, q: np.ndarray, p: np.ndarray) -> FastMap:
     """Implicit midpoint on q'' = -w2 q, per axis.
 
     Solves (1 + (h^2/4) w2) q1 = (1 - (h^2/4) w2) q0 + h p0, then
     p1 = p0 - (h/2) w2 (q0 + q1); exactly conserves the fast energy.
+    Evaluated as (q0 + h p0 - (h^2/4)(w2 q0)) / (1 + (h^2/4) w2).
     """
     half, quarter_h2 = 0.5 * h, 0.25 * h * h
     denom = 1.0 + quarter_h2 * w2
+    h, half, quarter_h2 = (_operand(c, q) for c in (h, half, quarter_h2))
+    w2q, t1, t2, t3 = _scratch(q, 4)
 
-    def fast(q, p):
-        w2q = w2 * q
-        q1 = (q + h * p - quarter_h2 * w2q) / denom
-        return q1, p - half * (w2q + w2 * q1)
+    def fast():
+        np.multiply(w2, q, out=w2q)
+        np.multiply(h, p, out=t1)
+        np.add(q, t1, out=t2)
+        np.multiply(quarter_h2, w2q, out=t1)
+        np.subtract(t2, t1, out=t3)
+        np.divide(t3, denom, out=q)
+        np.multiply(w2, q, out=t1)
+        np.add(w2q, t1, out=t2)
+        np.multiply(half, t2, out=t1)
+        np.subtract(p, t1, out=p)
 
     return fast
 
 
-def _fast_rotation(omega: np.ndarray, h: float) -> FastMap:
+def _fast_rotation(omega: np.ndarray, h: float, q: np.ndarray, p: np.ndarray) -> FastMap:
     """Rotation of each axis by its modified frequency.
 
     With a = h*omega_i/2 the rotation angle w~*h satisfies tan(w~*h/2) = a,
@@ -118,135 +151,203 @@ def _fast_rotation(omega: np.ndarray, h: float) -> FastMap:
     h_w2 = h * omega ** 2
     cos_num = 1.0 - a2
     denom = 1.0 + a2
+    h = _operand(h, q)
+    t1, t2, t3, t4 = _scratch(q, 4)
 
-    def fast(q, p):
-        return (cos_num * q + h * p) / denom, (cos_num * p - h_w2 * q) / denom
+    def fast():
+        np.multiply(cos_num, q, out=t1)
+        np.multiply(h, p, out=t2)
+        np.add(t1, t2, out=t3)
+        np.multiply(cos_num, p, out=t1)
+        np.multiply(h_w2, q, out=t2)
+        np.subtract(t1, t2, out=t4)
+        np.divide(t4, denom, out=p)
+        np.divide(t3, denom, out=q)
 
     return fast
 
 
-def _fast_verlet(w2: np.ndarray, h: float, substeps: int) -> FastMap:
-    """`substeps` Stormer-Verlet steps of the fast-only system across h."""
+def _fast_verlet(
+    w2: np.ndarray, h: float, substeps: int, q: np.ndarray, p: np.ndarray
+) -> FastMap:
+    """`substeps` Stormer-Verlet steps of the fast-only system across h.
+
+    A substep's closing half kick (dt/2)(w2 q) is the next one's opening
+    kick, at the same q, so it is computed once.
+    """
     dt = h / substeps
     half_dt = 0.5 * dt
+    dt, half_dt = _operand(dt, q), _operand(half_dt, q)
+    kick, tmp = _scratch(q, 2)
 
-    def fast(q, p):
+    def half_kick():
+        np.multiply(w2, q, out=tmp)
+        np.multiply(half_dt, tmp, out=kick)
+
+    def fast():
+        half_kick()
         for _ in range(substeps):
-            p = p - half_dt * (w2 * q)
-            q = q + dt * p
-            p = p - half_dt * (w2 * q)
-        return q, p
+            np.subtract(p, kick, out=p)
+            np.multiply(dt, p, out=tmp)
+            np.add(q, tmp, out=q)
+            half_kick()
+            np.subtract(p, kick, out=p)
 
     return fast
 
 
-def _splitting_kernel(force, fast: FastMap, h: float) -> Kernel:
-    """Half slow kick, the fast map across h, half slow kick; the carried
-    half kick is (h/2) g(q)."""
-    half = 0.5 * h
+def _splitting_kernel(force, fast: FastMap, h: float, q: np.ndarray, p: np.ndarray) -> Kernel:
+    """Half slow kick, the fast map across h (bound to q and p), half slow
+    kick; the carried half kick is (h/2) g(q)."""
+    half = _operand(0.5 * h, q)
+    k, f = _scratch(q, 2)
+    force_at_q = bind_slow_force(force, q, f)
 
-    def kernel(q, p, k):
-        if k is None:
-            k = half * force(q)
-        q1, p1 = fast(q, p + k)
-        k1 = half * force(q1)
-        return q1, p1 + k1, k1
+    def half_kick():
+        force_at_q()
+        np.multiply(half, f, out=k)
+
+    half_kick()
+
+    def kernel():
+        np.add(p, k, out=p)
+        fast()
+        half_kick()
+        np.add(p, k, out=p)
 
     return kernel
 
 
-def _verlet_kernel(sys: OscillatorySystem, h: float, mass_override=None) -> Kernel:
+def _verlet_kernel(
+    sys: OscillatorySystem, h: float, q: np.ndarray, p: np.ndarray, mass_override=None
+) -> Kernel:
     """Kick-drift-kick on the full force; drift uses M^(-1) when a mass is
     given.  The carried half kick is (h/2)(g(q) - Omega^2 q)."""
-    force, w2 = sys.slow_force, sys.w2
-    half = 0.5 * h
+    w2 = sys.w2
+    h, half = _operand(h, q), _operand(0.5 * h, q)
     solve = None if mass_override is None else spd_factor(mass_override).solve
+    k, f, tmp = _scratch(q, 3)
+    force_at_q = bind_slow_force(sys.slow_force, q, k)
 
-    def kernel(q, p, k):
-        if k is None:
-            k = half * (force(q) - w2 * q)
-        p = p + k
-        q1 = q + h * (p if solve is None else solve(p))
-        k1 = half * (force(q1) - w2 * q1)
-        return q1, p + k1, k1
+    def half_kick():
+        force_at_q()
+        np.multiply(w2, q, out=tmp)
+        np.subtract(k, tmp, out=f)
+        np.multiply(half, f, out=k)
+
+    half_kick()
+
+    def kernel():
+        np.add(p, k, out=p)
+        np.multiply(h, p if solve is None else solve(p), out=tmp)
+        np.add(q, tmp, out=q)
+        half_kick()
+        np.add(p, k, out=p)
 
     return kernel
 
 
 def _midpoint_full_kernel(
-    sys: OscillatorySystem, h: float, fp_tol: float, fp_max_iter: int
+    sys: OscillatorySystem, h: float, fp_tol: float, fp_max_iter: int,
+    q: np.ndarray, p: np.ndarray,
 ) -> Kernel:
     """Implicit midpoint on the full potential, solved by fixed-point iteration.
 
     Iterates on the interval midpoint m = q + (h/2) p + (h^2/4) f(m) with
     f = g - Omega^2 q until successive iterates differ by <= fp_tol in the
     max norm.  Contracts only while (h^2/4) Lip(f) < 1, so this is a
-    small-step baseline.  It evaluates the slow force at midpoints only, so
-    it ignores the carried kick and returns None in its place.
+    small-step baseline.  It evaluates the slow force at midpoints only and
+    carries no kick.  On NoConvergence q and p are left as they were.
     """
-    force, w2 = sys.slow_force, sys.w2
-    quarter_h2 = 0.25 * h * h
+    w2 = sys.w2
+    half_h, quarter_h2 = 0.5 * h, 0.25 * h * h
+    m, f = _scratch(q, 2)
+    force_at_m = bind_slow_force(sys.slow_force, m, f)
 
-    def total_force(m):
-        return force(m) - w2 * m
+    def total_force_at_m():
+        force_at_m()
+        return f - w2 * m
 
-    def kernel(q, p, k):
-        base = q + 0.5 * h * p
-        m = base
+    # the fixed-point iteration keeps its allocating operator form: an out=
+    # rewrite gained nothing on the lattice, and its in-place updates would
+    # pay numpy's one-element penalty on the d = 1 model (see _scratch)
+    def kernel():
+        base = q + half_h * p
+        np.copyto(m, base)
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(fp_max_iter):
-                m_next = base + quarter_h2 * total_force(m)
+            for i in range(fp_max_iter):
+                m_next = base + quarter_h2 * total_force_at_m()
                 if not np.isfinite(m_next).all():
-                    raise NoConvergence(k + 1)
+                    raise NoConvergence(i + 1)
                 done = float(np.max(np.abs(m_next - m))) <= fp_tol
-                m = m_next
+                np.copyto(m, m_next)
                 if done:
                     break
             else:
                 raise NoConvergence(fp_max_iter)
-        return 2.0 * m - q, p + h * total_force(m), None
+        np.copyto(p, p + h * total_force_at_m())
+        np.copyto(q, 2.0 * m - q)
 
     return kernel
 
 
-def _kernel(sys: OscillatorySystem, spec: StepperSpec) -> Kernel:
+def _kernel(sys: OscillatorySystem, spec: StepperSpec, q: np.ndarray, p: np.ndarray) -> Kernel:
     h = spec.h
     if spec.method is Method.SV:
-        return _verlet_kernel(sys, h, spec.mass_override)
+        return _verlet_kernel(sys, h, q, p, spec.mass_override)
     if spec.method is Method.MIDPOINT_FULL:
-        return _midpoint_full_kernel(sys, h, spec.fp_tol, spec.fp_max_iter)
+        return _midpoint_full_kernel(sys, h, spec.fp_tol, spec.fp_max_iter, q, p)
     if spec.method is Method.IMEX:
-        fast = _fast_midpoint(sys.w2, h)
+        fast = _fast_midpoint(sys.w2, h, q, p)
     elif spec.method is Method.RESPA:
-        fast = _fast_verlet(sys.w2, h, spec.substeps)
+        fast = _fast_verlet(sys.w2, h, spec.substeps, q, p)
     else:
-        fast = _fast_rotation(sys.omega, h)
-    return _splitting_kernel(sys.slow_force, fast, h)
+        fast = _fast_rotation(sys.omega, h, q, p)
+    return _splitting_kernel(sys.slow_force, fast, h, q, p)
 
 
-def _state_step(kernel: Kernel, state: State, h: float) -> State:
-    q1, p1, _ = kernel(state.q, state.p, None)
-    return State(state.t + h, q1, p1)
+def _state_buffers(state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A fresh contiguous z = [q | p] holding a copy of the state, and its
+    q and p views."""
+    z = np.concatenate((state.q, state.p))
+    d = state.q.size
+    return z, z[:d], z[d:]
 
 
-def _split_step(sys: OscillatorySystem, fast: FastMap, state: State, h: float) -> State:
-    return _state_step(_splitting_kernel(sys.slow_force, fast, h), state, h)
+def _state_step(bind: Callable[[np.ndarray, np.ndarray], Kernel], state: State, h: float) -> State:
+    """One step of the kernel bind(q, p) makes, on a copy of the state."""
+    _, q, p = _state_buffers(state)
+    bind(q, p)()
+    return State(state.t + h, q, p)
+
+
+def _split_step(
+    sys: OscillatorySystem,
+    fast: Callable[[np.ndarray, np.ndarray], FastMap],
+    state: State,
+    h: float,
+) -> State:
+    """One splitting step around the fast map fast(q, p) binds."""
+
+    def bind(q, p):
+        return _splitting_kernel(sys.slow_force, fast(q, p), h, q, p)
+
+    return _state_step(bind, state, h)
 
 
 def kick_slow(sys: OscillatorySystem, state: State, dt: float) -> State:
     """Exact flow of the slow potential alone: momentum kick, no displacement."""
-    return State(state.t, state.q, state.p + dt * sys.slow_force(state.q))
+    return State(state.t, state.q.copy(), state.p + dt * sys.slow_force(state.q))
 
 
 def step_midpoint_fast(sys: OscillatorySystem, state: State, h: float) -> State:
     """Implicit midpoint step of the fast quadratic part only (see _fast_midpoint)."""
-    q1, p1 = _fast_midpoint(sys.w2, h)(state.q, state.p)
-    return State(state.t + h, q1, p1)
+    return _state_step(partial(_fast_midpoint, sys.w2, h), state, h)
 
 
 def step_imex(sys: OscillatorySystem, state: State, h: float) -> State:
     """Half slow kick, implicit midpoint on the fast part, half slow kick."""
-    return _split_step(sys, _fast_midpoint(sys.w2, h), state, h)
+    return _split_step(sys, partial(_fast_midpoint, sys.w2, h), state, h)
 
 
 def step_stormer_verlet(
@@ -256,19 +357,19 @@ def step_stormer_verlet(
     mass_override: np.ndarray | None = None,
 ) -> State:
     """Kick-drift-kick on the full force; drift uses M^(-1) when a mass is given."""
-    return _state_step(_verlet_kernel(sys, h, mass_override), state, h)
+    return _state_step(partial(_verlet_kernel, sys, h, mass_override=mass_override), state, h)
 
 
 def step_respa(sys: OscillatorySystem, state: State, h: float, substeps: int) -> State:
     """Impulse multiple time stepping: outer half kicks of the slow force
     around `substeps` Stormer-Verlet substeps of the fast-only system."""
-    return _split_step(sys, _fast_verlet(sys.w2, h, substeps), state, h)
+    return _split_step(sys, partial(_fast_verlet, sys.w2, h, substeps), state, h)
 
 
 def step_modified_impulse(sys: OscillatorySystem, state: State, h: float) -> State:
     """Impulse method whose fast step rotates each axis by its modified
     frequency (see _fast_rotation)."""
-    return _split_step(sys, _fast_rotation(sys.omega, h), state, h)
+    return _split_step(sys, partial(_fast_rotation, sys.omega, h), state, h)
 
 
 def step_midpoint_full(
@@ -279,13 +380,12 @@ def step_midpoint_full(
     fp_max_iter: int = 200,
 ) -> State:
     """Implicit midpoint on the full potential (see _midpoint_full_kernel)."""
-    return _state_step(_midpoint_full_kernel(sys, h, fp_tol, fp_max_iter), state, h)
+    return _state_step(partial(_midpoint_full_kernel, sys, h, fp_tol, fp_max_iter), state, h)
 
 
 def make_stepper(sys: OscillatorySystem, spec: StepperSpec) -> Callable[[State], State]:
     """Bind a spec to a system as a State -> State map."""
-    kernel = _kernel(sys, spec)
-    return lambda s: _state_step(kernel, s, spec.h)
+    return lambda s: _state_step(partial(_kernel, sys, spec), s, spec.h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,8 +453,9 @@ def integrate(
     non-finite state or one exceeding BLOWUP_NORM_CAP in the max norm stops
     the run with BLOWUP status and records the offending sample; stepper
     failures (for example fixed-point stagnation) are reported the same way
-    with a NaN sample and the cause retained.  Energies are evaluated once,
-    over the recorded block.
+    with a NaN sample and the cause retained.  The run steps its own copy of
+    state0 in place; samples and final_state are copies.  Energies are
+    evaluated once, over the recorded block.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -362,30 +463,29 @@ def integrate(
     n_steps = step_count(spec, t0, t_end)
     if not (np.isfinite(state0.q).all() and np.isfinite(state0.p).all()):
         raise ValueError("the initial state must be finite")
-    kernel = _kernel(sys, spec)
+    z, q, p = _state_buffers(state0)
+    kernel = _kernel(sys, spec, q, p)
     # the start, every stride-th state, and a possible blow-up sample
     n_rows = n_steps // stride + 2
     qs = np.empty((n_rows, sys.d))
     ps = np.empty((n_rows, sys.d))
     steps = np.empty(n_rows, dtype=np.int64)
-    q, p, k = state0.q, state0.p, None
     qs[0], ps[0], steps[0] = q, p, 0
     rows = 1
     n = 0
-    cap2 = BLOWUP_NORM_CAP * BLOWUP_NORM_CAP
+    cap = BLOWUP_NORM_CAP
+    cap2 = cap * cap
     status, t_blowup, cause = COMPLETED, None, None
     for n in range(1, n_steps + 1):
         try:
-            q, p, k = kernel(q, p, k)
+            kernel()
         except NoConvergence as exc:
-            q = p = np.full(sys.d, np.nan)
+            z.fill(np.nan)
             cause = str(exc)
         else:
-            # q.q + p.p <= cap^2 bounds every component by the cap (NaN and
+            # z.z <= cap^2 bounds every component by the cap (NaN and
             # overflow fail it); only a failing state pays for the exact test
-            if q @ q + p @ p <= cap2 or (
-                np.abs(q).max() <= BLOWUP_NORM_CAP and np.abs(p).max() <= BLOWUP_NORM_CAP
-            ):
+            if np.dot(z, z) <= cap2 or np.abs(z).max() <= cap:
                 if n % stride == 0:
                     qs[rows], ps[rows], steps[rows] = q, p, n
                     rows += 1
@@ -415,5 +515,5 @@ def integrate(
         h=spec.h,
         method=spec.method.value,
         system=sys.label,
-        final_state=State(t0 + n * spec.h, q, p),
+        final_state=State(t0 + n * spec.h, q.copy(), p.copy()),
     )

@@ -7,9 +7,16 @@ concrete builders are provided: decoupled soft/stiff spring pairs (the
 scalar model problem, or one axis per frequency of a sweep), and the
 Fermi-Pasta-Ulam alternating spring lattice in averaged/extension
 coordinates together with its energy diagnostics.
+
+The built-in slow forces are SlowForce objects: besides g(x) they offer
+bind(x, out), a call that writes g(x) into the fixed buffer out each time
+it runs, so a run that steps its state in place evaluates the force
+without allocating.  bind_slow_force gives any other callable the same
+shape.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -17,6 +24,11 @@ from typing import Callable
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
+
+# Largest lattice fpu_build accepts, in stiff springs (2*MAX_ELL masses);
+# checked before anything is allocated.  One IMEX step costs ~11 ms at
+# ell = 1e5 and grows linearly in ell, so this is ~0.1 s per step.
+MAX_ELL = 10 ** 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,9 +57,11 @@ class OscillatorySystem:
 
     slow_force must be the negative gradient of slow_potential.  Both act
     on the last axis, so slow_potential also evaluates a block of states
-    (shape (n, d)) in one call.  ell marks lattice systems that carry
-    stiff-spring energy diagnostics.  Only the frequencies are stored; w2
-    holds their squares and omega2 builds the dense Omega^2 on access.
+    (shape (n, d)) in one call.  The steppers evaluate slow_force through
+    bind_slow_force, in place when it is a SlowForce.  ell marks lattice
+    systems that carry stiff-spring energy diagnostics.  Only the
+    frequencies are stored; w2 holds their squares and omega2 builds the
+    dense Omega^2 on access.
     """
 
     omega: np.ndarray
@@ -95,8 +109,49 @@ class FpuParams:
     def __post_init__(self):
         if self.ell < 1:
             raise ValueError("ell must be >= 1")
+        if self.ell > MAX_ELL:
+            raise ValueError(f"ell={self.ell} takes more than {MAX_ELL:.0e} stiff springs")
         if not self.omega > 0.0:
             raise ValueError("omega must be positive")
+
+
+class SlowForce:
+    """A slow force g that can be bound to fixed buffers.
+
+    bind(x, out) returns a call that writes g(x) into out, reading x as it
+    is when the call runs; views and scratch are set up once, at bind time.
+    Calling the force allocates out, binds and runs, so both ways share one
+    arithmetic.  x and out may carry leading axes (a block of states).
+    """
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape)
+        self.bind(x, out)()
+        return out
+
+    def bind(self, x: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+        raise NotImplementedError
+
+
+def bind_slow_force(force, x: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+    """A call that writes force(x) into out, x read as it is at each call.
+
+    A force with a bind method (a SlowForce) binds itself; any other
+    callable (a lambda, a wrapper) is called as force(x) and its result
+    copied into out.
+    """
+    bind = getattr(force, "bind", None)
+    if bind is not None:
+        return bind(x, out)
+    return lambda: np.copyto(out, force(x))
+
+
+class _ModelSlowForce(SlowForce):
+    """g(q) = -q: the unit soft spring of every model axis."""
+
+    def bind(self, x, out):
+        return functools.partial(np.negative, x, out=out)
 
 
 def coupled_oscillator_build(omega) -> OscillatorySystem:
@@ -112,44 +167,70 @@ def coupled_oscillator_build(omega) -> OscillatorySystem:
     def slow_potential(q):
         return 0.5 * np.sum(q * q, axis=-1)
 
-    def slow_force(q):
-        return -np.asarray(q, dtype=float)
-
     return OscillatorySystem(
         omega=np.atleast_1d(omega),
         slow_potential=slow_potential,
-        slow_force=slow_force,
+        slow_force=_ModelSlowForce(),
         label="model",
     )
 
 
-def _fpu_stretches(x: np.ndarray, ell: int) -> np.ndarray:
-    """Soft-spring elongations s_0..s_ell along the last axis.
+def _bind_stretches(x: np.ndarray, ell: int, s: np.ndarray) -> Callable[[], None]:
+    """A call writing the soft-spring elongations s_0..s_ell of x into s.
 
     s_i = (x0_i - x1_i) - (x0_{i-1} + x1_{i-1}) with wall terms x_{-1} =
     x_ell = 0; s_ell is the right-wall spring up to a sign, which the even
-    potential and the odd cube in the force absorb.
+    potential and the odd cube in the force absorb.  The wall terms are the
+    fixed zeros of two padded scratch rows a = [x0 - x1, 0] and
+    b = [0, x0 + x1], and s = a - b.
     """
     x0, x1 = x[..., :ell], x[..., ell:]
-    s = np.zeros(x.shape[:-1] + (ell + 1,))
-    s[..., :-1] = x0 - x1
-    s[..., 1:] -= x0 + x1
-    return s
+    a, b = np.zeros(s.shape), np.zeros(s.shape)
+    a_head, b_tail = a[..., :-1], b[..., 1:]
+
+    def stretches():
+        np.subtract(x0, x1, out=a_head)
+        np.add(x0, x1, out=b_tail)
+        np.subtract(a, b, out=s)
+
+    return stretches
 
 
 def _fpu_slow_potential(ell: int) -> Callable[[np.ndarray], float]:
     def slow_potential(x):
-        return 0.25 * np.sum(_fpu_stretches(x, ell) ** 4, axis=-1)
+        x = np.asarray(x, dtype=float)
+        s = np.empty(x.shape[:-1] + (ell + 1,))
+        _bind_stretches(x, ell, s)()
+        return 0.25 * np.sum(s ** 4, axis=-1)
 
     return slow_potential
 
 
-def _fpu_slow_force(ell: int) -> Callable[[np.ndarray], np.ndarray]:
-    def slow_force(x):
-        c = _fpu_stretches(x, ell) ** 3
-        return np.concatenate((c[..., 1:] - c[..., :-1], c[..., :-1] + c[..., 1:]), axis=-1)
+class _FpuSlowForce(SlowForce):
+    """Lattice slow force from the cubed stretches c = s^3:
+    (c_1..c_ell - c_0..c_{ell-1}, c_0..c_{ell-1} + c_1..c_ell)."""
 
-    return slow_force
+    def __init__(self, ell: int):
+        self.ell = ell
+
+    def bind(self, x, out):
+        ell = self.ell
+        c = np.empty(x.shape[:-1] + (ell + 1,))
+        # the exponent as an array, not the scalar 3: np.power gives the
+        # same cubes (bit for bit, tests/test_oracle.py) without numpy's
+        # per-call scalar conversion
+        three = np.full(c.shape, 3.0)
+        stretches = _bind_stretches(x, ell, c)
+        c_head, c_tail = c[..., :-1], c[..., 1:]
+        g0, g1 = out[..., :ell], out[..., ell:]
+
+        def force():
+            stretches()
+            np.power(c, three, out=c)
+            np.subtract(c_tail, c_head, out=g0)
+            np.add(c_head, c_tail, out=g1)
+
+        return force
 
 
 def fpu_build(params: FpuParams) -> OscillatorySystem:
@@ -163,7 +244,7 @@ def fpu_build(params: FpuParams) -> OscillatorySystem:
     return OscillatorySystem(
         omega=np.concatenate([np.zeros(ell), np.full(ell, omega)]),
         slow_potential=_fpu_slow_potential(ell),
-        slow_force=_fpu_slow_force(ell),
+        slow_force=_FpuSlowForce(ell),
         label="fpu",
         ell=ell,
     )

@@ -1,8 +1,20 @@
 """End-to-end tests of the command-line harness through a real subprocess."""
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _env():
+    """The environment with this checkout's src first on the import path,
+    so the subprocess imports the oscint under test, installed or not."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return env
 
 
 def run_cli(*args, timeout=300):
@@ -10,6 +22,7 @@ def run_cli(*args, timeout=300):
         [sys.executable, "-m", "oscint", *args],
         capture_output=True,
         text=True,
+        env=_env(),
         timeout=timeout,
     )
 
@@ -59,6 +72,28 @@ class TestIntegrate:
         meta, _, _ = read_csv(out)
         assert "status=blowup" in meta[0]
         assert "t_blowup=" in meta[0]
+        assert meta[0].endswith(" blowup_cause=state_norm_cap_exceeded")
+
+    @pytest.mark.parametrize(
+        "args, cause",
+        [
+            (("integrate", "--system", "fpu", "--method", "midpoint-full",
+              "--h", "5", "--t-end", "10"), "fixed_point_not_converged_after_5_iterations"),
+            (("fpu-exchange", "--method", "midpoint-full", "--h", "5", "--t-end", "10"),
+             "fixed_point_not_converged_after_5_iterations"),
+            (("fpu-exchange", "--method", "sv", "--h", "0.1", "--t-end", "5"),
+             "state_norm_cap_exceeded"),
+        ],
+        ids=["integrate-fixed-point", "exchange-fixed-point", "exchange-norm-cap"],
+    )
+    def test_blowup_cause_is_recorded_deterministically(self, tmp_path, args, cause):
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            assert run_cli(*args, "--out", str(out)).returncode == 2
+        meta, _, _ = read_csv(outs[0])
+        assert "status=blowup" in meta[0].split()
+        assert f"blowup_cause={cause}" in meta[0].split()
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_missing_out_is_config_error(self):
         proc = run_cli(
@@ -164,8 +199,12 @@ class TestConvergence:
         ("resonance-sweep", "--grid", "1e-12"),
         ("resonance-sweep", "--substeps", "100000000", "--t-end", "1"),
         ("fpu-exchange", "--reference-h", "1e-9", "--t-end", "1e3"),
+        ("integrate", "--system", "fpu", "--ell", "1000000000000", "--method", "imex",
+         "--h", "0.1", "--t-end", "1"),
+        ("fpu-exchange", "--ell", "1000000000000", "--t-end", "1"),
     ],
-    ids=["integrate-h", "sweep-grid", "sweep-substeps", "exchange-reference-h"],
+    ids=["integrate-h", "sweep-grid", "sweep-substeps", "exchange-reference-h",
+         "integrate-ell", "exchange-ell"],
 )
 def test_unbounded_work_is_config_error(tmp_path, args):
     # each would allocate terabytes or step for days; the work bound is
@@ -184,6 +223,7 @@ def test_import_leaves_scipy_unloaded():
         [sys.executable, "-c", "import sys, oscint; print('scipy' in sys.modules)"],
         capture_output=True,
         text=True,
+        env=_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -8,10 +8,12 @@ from slices.  Production steps per axis, fuses the force and reuses the
 half kick at the end of a step as the half kick at the start of the next,
 so the two agree at roundoff, not bit for bit.
 
-The frozen copies are the kernels that carried the raw slow force and the
-resonance sweep's einsum loop with its per-step blow-up reset.  Their
-replacements perform the same floating-point operations on the same
-operands, so they are pinned bit for bit (np.array_equal).
+The frozen copies are earlier forms of the hot loops: the kernels that
+carried the raw slow force, the allocating fast maps, slow force and
+midpoint-full kernel that returned fresh arrays, and the resonance sweep's
+einsum loop with its per-step blow-up reset.  Their replacements perform
+the same floating-point operations on the same operands, so they are
+pinned bit for bit (np.array_equal).
 
 Bounds: 1e-13 (1 + |x|) componentwise over 1e3 steps at h = 0.01.  The
 lattice is chaotic, so roundoff grows along a run.  Started one ulp apart
@@ -28,17 +30,22 @@ from oscint.experiments import resonance_sweep
 from oscint.linalg import spd_factor
 from oscint.steppers import (
     Method,
+    NoConvergence,
     StepperSpec,
-    _fast_midpoint,
-    _fast_rotation,
-    _fast_verlet,
     integrate,
     step_imex,
+    step_midpoint_full,
     step_modified_impulse,
     step_respa,
     step_stormer_verlet,
 )
-from oscint.systems import FpuParams, fpu_build, fpu_initial_state
+from oscint.systems import (
+    FpuParams,
+    State,
+    coupled_oscillator_build,
+    fpu_build,
+    fpu_initial_state,
+)
 
 ELL = 3
 OMEGA = 50.0
@@ -179,6 +186,73 @@ def test_fused_force_matches_slicing_force(ell):
         assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
 
 
+def frozen_fpu_stretches(x, ell):
+    x0, x1 = x[..., :ell], x[..., ell:]
+    s = np.zeros(x.shape[:-1] + (ell + 1,))
+    s[..., :-1] = x0 - x1
+    s[..., 1:] -= x0 + x1
+    return s
+
+
+def frozen_fpu_slow_potential(ell):
+    def slow_potential(x):
+        return 0.25 * np.sum(frozen_fpu_stretches(x, ell) ** 4, axis=-1)
+
+    return slow_potential
+
+
+def frozen_fpu_slow_force(ell):
+    """The lattice slow force that built its stretches and result afresh."""
+
+    def slow_force(x):
+        c = frozen_fpu_stretches(x, ell) ** 3
+        return np.concatenate((c[..., 1:] - c[..., :-1], c[..., :-1] + c[..., 1:]), axis=-1)
+
+    return slow_force
+
+
+def frozen_model_slow_force(q):
+    return -np.asarray(q, dtype=float)
+
+
+def frozen_fast_midpoint(w2, h):
+    half, quarter_h2 = 0.5 * h, 0.25 * h * h
+    denom = 1.0 + quarter_h2 * w2
+
+    def fast(q, p):
+        w2q = w2 * q
+        q1 = (q + h * p - quarter_h2 * w2q) / denom
+        return q1, p - half * (w2q + w2 * q1)
+
+    return fast
+
+
+def frozen_fast_rotation(omega, h):
+    a2 = (0.5 * h * omega) ** 2
+    h_w2 = h * omega ** 2
+    cos_num = 1.0 - a2
+    denom = 1.0 + a2
+
+    def fast(q, p):
+        return (cos_num * q + h * p) / denom, (cos_num * p - h_w2 * q) / denom
+
+    return fast
+
+
+def frozen_fast_verlet(w2, h, substeps):
+    dt = h / substeps
+    half_dt = 0.5 * dt
+
+    def fast(q, p):
+        for _ in range(substeps):
+            p = p - half_dt * (w2 * q)
+            q = q + dt * p
+            p = p - half_dt * (w2 * q)
+        return q, p
+
+    return fast
+
+
 def frozen_splitting_kernel(force, fast, h):
     """The splitting kernel that carried the slow force f instead of (h/2) f."""
     half = 0.5 * h
@@ -193,9 +267,8 @@ def frozen_splitting_kernel(force, fast, h):
     return kernel
 
 
-def frozen_verlet_kernel(sys_, h, mass_override=None):
+def frozen_verlet_kernel(force, w2, h, mass_override=None):
     """The Verlet kernel that carried the slow force and rebuilt the kick."""
-    force, w2 = sys_.slow_force, sys_.w2
     half = 0.5 * h
     solve = None if mass_override is None else spd_factor(mass_override).solve
 
@@ -206,6 +279,32 @@ def frozen_verlet_kernel(sys_, h, mass_override=None):
         q1 = q + h * (p if solve is None else solve(p))
         f1 = force(q1)
         return q1, p + half * (f1 - w2 * q1), f1
+
+    return kernel
+
+
+def frozen_midpoint_full_kernel(force, w2, h, fp_tol=1e-12, fp_max_iter=200):
+    """The midpoint-full kernel that returned fresh arrays."""
+    quarter_h2 = 0.25 * h * h
+
+    def total_force(m):
+        return force(m) - w2 * m
+
+    def kernel(q, p, f):
+        base = q + 0.5 * h * p
+        m = base
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(fp_max_iter):
+                m_next = base + quarter_h2 * total_force(m)
+                if not np.isfinite(m_next).all():
+                    raise NoConvergence(k + 1)
+                done = float(np.max(np.abs(m_next - m))) <= fp_tol
+                m = m_next
+                if done:
+                    break
+            else:
+                raise NoConvergence(fp_max_iter)
+        return 2.0 * m - q, p + h * total_force(m), None
 
     return kernel
 
@@ -232,55 +331,117 @@ def frozen_linear_max_energy_errors(mats, spring, n_steps, q0, p0):
     return np.minimum(err, ENERGY_ERROR_CAP)
 
 
-def _pinned(sys_, name):
-    """(spec, frozen kernel, public step) of one pinned method."""
-    force = sys_.slow_force
+def _pinned(sys_, force, name, h):
+    """(spec, frozen kernel, public step) of one pinned method; force is the
+    frozen copy of the system's slow force."""
+    w2 = sys_.w2
     if name == "sv":
-        return (StepperSpec(Method.SV, H), frozen_verlet_kernel(sys_, H),
-                lambda s: step_stormer_verlet(sys_, s, H))
+        return (StepperSpec(Method.SV, h), frozen_verlet_kernel(force, w2, h),
+                lambda s: step_stormer_verlet(sys_, s, h))
     if name == "sv-mass":
-        mass = modified_mass(H, sys_.omega2)
-        return (StepperSpec(Method.SV, H, mass_override=mass), frozen_verlet_kernel(sys_, H, mass),
-                lambda s: step_stormer_verlet(sys_, s, H, mass_override=mass))
+        mass = modified_mass(h, sys_.omega2)
+        return (StepperSpec(Method.SV, h, mass_override=mass),
+                frozen_verlet_kernel(force, w2, h, mass),
+                lambda s: step_stormer_verlet(sys_, s, h, mass_override=mass))
     if name == "imex":
-        return (StepperSpec(Method.IMEX, H),
-                frozen_splitting_kernel(force, _fast_midpoint(sys_.w2, H), H),
-                lambda s: step_imex(sys_, s, H))
+        return (StepperSpec(Method.IMEX, h),
+                frozen_splitting_kernel(force, frozen_fast_midpoint(w2, h), h),
+                lambda s: step_imex(sys_, s, h))
     if name == "respa":
-        return (StepperSpec(Method.RESPA, H, substeps=SUBSTEPS),
-                frozen_splitting_kernel(force, _fast_verlet(sys_.w2, H, SUBSTEPS), H),
-                lambda s: step_respa(sys_, s, H, SUBSTEPS))
-    return (StepperSpec(Method.MODIFIED_IMPULSE, H),
-            frozen_splitting_kernel(force, _fast_rotation(sys_.omega, H), H),
-            lambda s: step_modified_impulse(sys_, s, H))
+        return (StepperSpec(Method.RESPA, h, substeps=SUBSTEPS),
+                frozen_splitting_kernel(force, frozen_fast_verlet(w2, h, SUBSTEPS), h),
+                lambda s: step_respa(sys_, s, h, SUBSTEPS))
+    if name == "midpoint-full":
+        return (StepperSpec(Method.MIDPOINT_FULL, h),
+                frozen_midpoint_full_kernel(force, w2, h),
+                lambda s: step_midpoint_full(sys_, s, h))
+    return (StepperSpec(Method.MODIFIED_IMPULSE, h),
+            frozen_splitting_kernel(force, frozen_fast_rotation(sys_.omega, h), h),
+            lambda s: step_modified_impulse(sys_, s, h))
 
 
-PINNED = ["sv", "sv-mass", "imex", "respa", "modified-impulse"]
+PINNED = ["sv", "sv-mass", "imex", "respa", "modified-impulse", "midpoint-full"]
 
 
-@pytest.mark.parametrize("name", PINNED)
-def test_kernels_match_frozen_kernels_bit_for_bit(lattice, name):
-    sys_, state0 = lattice
-    spec, frozen, public_step = _pinned(sys_, name)
+def _assert_pinned(sys_, force, state0, name, h, n_steps):
+    """integrate and the public step of one method reproduce the frozen
+    kernel bit for bit over n_steps steps."""
+    spec, frozen, public_step = _pinned(sys_, force, name, h)
     q, p, f = state0.q, state0.p, None
     want_q, want_p = [q], [p]
-    for _ in range(N_STEPS):
+    for _ in range(n_steps):
         q, p, f = frozen(q, p, f)
         want_q.append(q)
         want_p.append(p)
     want_q, want_p = np.array(want_q), np.array(want_p)
 
-    traj = integrate(sys_, spec, state0, (N_STEPS - 0.5) * H)
-    assert len(traj.times) == N_STEPS + 1
+    # (n - 1/2) h keeps the step count at n whatever the rounding of n h
+    traj = integrate(sys_, spec, state0, state0.t + (n_steps - 0.5) * h)
+    assert traj.completed and len(traj.times) == n_steps + 1
     assert np.array_equal(traj.qs, want_q) and np.array_equal(traj.ps, want_p)
 
     s = state0
     got_q, got_p = [s.q], [s.p]
-    for _ in range(N_STEPS):
+    for _ in range(n_steps):
         s = public_step(s)
         got_q.append(s.q)
         got_p.append(s.p)
     assert np.array_equal(np.array(got_q), want_q) and np.array_equal(np.array(got_p), want_p)
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_kernels_match_frozen_kernels_bit_for_bit(lattice, name):
+    sys_, state0 = lattice
+    _assert_pinned(sys_, frozen_fpu_slow_force(ELL), state0, name, H, N_STEPS)
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_kernels_match_frozen_kernels_on_the_model_system(name):
+    # the d = 1 system and start of the convergence study, at its coarsest h
+    sys_ = coupled_oscillator_build(2.0)
+    state0 = State(0.0, [1.0], [0.5])
+    _assert_pinned(sys_, frozen_model_slow_force, state0, name, 0.1, 100)
+
+
+@pytest.mark.parametrize("ell", [1, 3, 1000])
+def test_bound_fpu_force_matches_frozen_force_bit_for_bit(ell):
+    sys_ = fpu_build(FpuParams(ell=ell, omega=OMEGA))
+    want_force = frozen_fpu_slow_force(ell)
+    want_potential = frozen_fpu_slow_potential(ell)
+    rng = np.random.default_rng(ell)
+    # a 1-D state, a block of states spanning 60 decades (the production
+    # force cubes with an exponent array, the frozen one with s ** 3), and
+    # zeros of both signs (the wall springs' stretches are x - 0 and 0 - x)
+    wide = rng.standard_normal((200, 2 * ell)) * 10.0 ** rng.integers(-30, 30, size=(200, 1))
+    signed_zeros = np.array([0.0, -0.0] * ell)
+    for x in (rng.standard_normal(2 * ell), wide, signed_zeros, -signed_zeros):
+        want = want_force(x)
+        got = sys_.slow_force(x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(sys_.slow_potential(x), want_potential(x))
+
+    # a bound force reads its input buffer as it is at each call
+    x = np.empty(2 * ell)
+    out = np.empty(2 * ell)
+    force = sys_.slow_force.bind(x, out)
+    for _ in range(3):
+        x[:] = rng.standard_normal(2 * ell)
+        force()
+        assert np.array_equal(out, want_force(x))
+
+
+def test_midpoint_full_no_convergence_matches_frozen_kernel(model50):
+    # past its contraction limit the iteration fails after the same
+    # number of iterations, and the step leaves its input untouched
+    frozen = frozen_midpoint_full_kernel(frozen_model_slow_force, model50.w2, 0.05, 1e-12, 17)
+    s0 = State(0.0, [1.0], [0.0])
+    with pytest.raises(NoConvergence) as want:
+        frozen(s0.q, s0.p, None)
+    with pytest.raises(NoConvergence) as got:
+        step_midpoint_full(model50, s0, 0.05, fp_max_iter=17)
+    assert got.value.iterations == want.value.iterations
+    assert s0.q[0] == 1.0 and s0.p[0] == 0.0
 
 
 def _sweep_errors(rows):

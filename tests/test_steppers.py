@@ -1,4 +1,6 @@
 """Unit tests for the one-step maps and the trajectory driver."""
+import functools
+
 import numpy as np
 import pytest
 
@@ -382,3 +384,108 @@ class TestIntegrate:
         traj = integrate(model50, spec, State(0.0, [1.0], [0.0]), 1e-320)
         assert len(traj.times) == 2
         assert traj.final_state.t == 1e10
+
+
+ALL_METHODS = [Method.SV, Method.IMEX, Method.RESPA, Method.MODIFIED_IMPULSE, Method.MIDPOINT_FULL]
+PUBLIC_STEPS = {
+    Method.SV: step_stormer_verlet,
+    Method.IMEX: step_imex,
+    Method.RESPA: lambda sys_, s, h: step_respa(sys_, s, h, 3),
+    Method.MODIFIED_IMPULSE: step_modified_impulse,
+    Method.MIDPOINT_FULL: step_midpoint_full,
+}
+
+
+class TestBufferOwnership:
+    """A run steps buffers of its own: what goes in and what comes out
+    share no memory with it or with each other."""
+
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=[m.value for m in ALL_METHODS])
+    def test_integrate_leaves_the_start_state_untouched(self, fpu_sys, fpu_state0, method):
+        q0, p0 = fpu_state0.q.copy(), fpu_state0.p.copy()
+        traj = integrate(fpu_sys, StepperSpec(method=method, h=0.01, substeps=3), fpu_state0, 0.1)
+        assert traj.completed
+        assert np.array_equal(fpu_state0.q, q0) and np.array_equal(fpu_state0.p, p0)
+
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=[m.value for m in ALL_METHODS])
+    def test_final_state_is_a_copy(self, fpu_sys, fpu_state0, method):
+        traj = integrate(fpu_sys, StepperSpec(method=method, h=0.01, substeps=3), fpu_state0, 0.1)
+        qs, ps = traj.qs.copy(), traj.ps.copy()
+        assert np.array_equal(traj.final_state.q, qs[-1])
+        traj.final_state.q[:] = 1e3
+        traj.final_state.p[:] = -1e3
+        assert np.array_equal(traj.qs, qs) and np.array_equal(traj.ps, ps)
+
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=[m.value for m in ALL_METHODS])
+    def test_step_results_are_fresh(self, fpu_sys, method):
+        step = PUBLIC_STEPS[method]
+        s0 = _random_fpu_state(7)
+        q0, p0 = s0.q.copy(), s0.p.copy()
+        s1 = step(fpu_sys, s0, 0.01)
+        s2 = step(fpu_sys, s1, 0.01)
+        q2, p2 = s2.q.copy(), s2.p.copy()
+        assert np.array_equal(s0.q, q0) and np.array_equal(s0.p, p0)
+        s1.q[:] = 1e3
+        s1.p[:] = -1e3
+        assert np.array_equal(s2.q, q2) and np.array_equal(s2.p, p2)
+        # the state a make_stepper map returns is fresh too
+        s3 = make_stepper(fpu_sys, StepperSpec(method=method, h=0.01, substeps=3))(s2)
+        s3.q[:] = 0.0
+        assert np.array_equal(s2.q, q2)
+
+    def test_kick_slow_returns_fresh_positions(self, model50):
+        s0 = State(0.0, [2.0], [1.0])
+        s = kick_slow(model50, s0, 0.3)
+        s.q[0] = 5.0
+        assert s0.q[0] == 2.0
+
+
+def _unbindable(sys_, force):
+    return OscillatorySystem(
+        omega=sys_.omega,
+        slow_potential=sys_.slow_potential,
+        slow_force=force,
+        label=sys_.label,
+        ell=sys_.ell,
+    )
+
+
+class TestUnboundForce:
+    """A slow force without SlowForce.bind (a lambda, a traced wrapper)
+    runs through the copying adapter and gives the same trajectory."""
+
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=[m.value for m in ALL_METHODS])
+    @pytest.mark.parametrize("system", ["fpu", "model"])
+    def test_lambda_force_matches_bound_force_bit_for_bit(self, method, system):
+        if system == "fpu":
+            sys_ = fpu_build(FpuParams(ell=3, omega=50.0))
+            state0 = fpu_initial_state(sys_)
+        else:
+            sys_ = coupled_oscillator_build(2.0)
+            state0 = State(0.0, [1.0], [0.5])
+        built_in = sys_.slow_force
+        plain = _unbindable(sys_, lambda x: built_in(x))
+        assert not hasattr(plain.slow_force, "bind")
+        spec = StepperSpec(method=method, h=0.01, substeps=3)
+        want = integrate(sys_, spec, state0, 2.0)
+        got = integrate(plain, spec, state0, 2.0)
+        assert want.completed and len(got.times) == len(want.times)
+        assert np.array_equal(got.qs, want.qs) and np.array_equal(got.ps, want.ps)
+        s_want = PUBLIC_STEPS[method](sys_, state0, 0.01)
+        s_got = PUBLIC_STEPS[method](plain, state0, 0.01)
+        assert np.array_equal(s_got.q, s_want.q) and np.array_equal(s_got.p, s_want.p)
+
+    def test_wrapped_force_is_called_once_per_step(self, fpu_sys, fpu_state0):
+        # functools.wraps copies an instance's __dict__ onto the wrapper, so
+        # bind lives on the class and a wrapper never bypasses itself
+        calls = []
+
+        @functools.wraps(fpu_sys.slow_force)
+        def traced(x):
+            calls.append(1)
+            return fpu_sys.slow_force(x)
+
+        assert not hasattr(traced, "bind")
+        traj = integrate(_unbindable(fpu_sys, traced), StepperSpec(Method.SV, h=0.01),
+                         fpu_state0, 0.995)
+        assert len(traj.times) - 1 == 100 and len(calls) == 101
