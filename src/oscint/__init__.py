@@ -37,9 +37,6 @@ from .lagrangians import (
 )
 from .linalg import (
     NotPositiveDefinite,
-    cayley,
-    skew_matrix,
-    solve_spd,
     spd_factor,
     spectral_radius_2x2,
     sym_matrix,
@@ -68,7 +65,6 @@ from .systems import (
     State,
     coupled_oscillator_build,
     fpu_build,
-    fpu_hamiltonian,
     fpu_initial_state,
     fpu_inverse_transform,
     fpu_transform,

@@ -30,10 +30,10 @@ def modified_frequency(h: float, omega: float) -> float:
     Evaluated as 2*atan(omega*h/2)/h, which stays accurate for large
     omega*h; the equivalent arccos form loses digits there.
     """
-    if not h > 0.0:
-        raise ValueError("h must be positive")
-    if omega < 0.0:
-        raise ValueError("omega must be nonnegative")
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError("h must be positive and finite")
+    if not (omega >= 0.0 and math.isfinite(omega)):
+        raise ValueError("omega must be finite and nonnegative")
     return 2.0 * math.atan(0.5 * h * omega) / h
 
 
@@ -41,6 +41,8 @@ def modified_mass(h: float, omega2) -> np.ndarray:
     """M~ = I + (h^2/4) Omega^2, the mass that makes the endpoint-quadrature
     step reproduce the midpoint treatment of the fast force."""
     omega2 = sym_matrix(omega2)
+    if not (math.isfinite(h) and np.isfinite(omega2).all()):
+        raise ValueError("h and omega2 must be finite")
     return np.eye(omega2.shape[0]) + 0.25 * h * h * omega2
 
 
@@ -85,19 +87,12 @@ def imex_stability(h: float, omega: float) -> StabilityReport:
     return StabilityReport("imex", h, omega, rho, rho <= 1.0 + STABILITY_TOL)
 
 
-def max_energy_error(traj: Trajectory, energy_fn: Callable | None = None) -> float:
-    """Largest |H - H0| over the recorded samples, capped at ENERGY_ERROR_CAP.
-
-    A blown-up run reports the cap.  energy_fn(q, p) overrides the stored
-    per-sample energies when given.
-    """
+def max_energy_error(traj: Trajectory) -> float:
+    """Largest |H - H0| over the recorded samples, capped at ENERGY_ERROR_CAP;
+    a blown-up run reports the cap."""
     if traj.status == BLOWUP:
         return ENERGY_ERROR_CAP
-    if energy_fn is None:
-        energies = traj.energies
-    else:
-        energies = np.array([energy_fn(traj.qs[i], traj.ps[i]) for i in range(len(traj.times))])
-    err = float(np.max(np.abs(energies - energies[0])))
+    err = float(np.max(np.abs(traj.energies - traj.energies[0])))
     if not math.isfinite(err):
         return ENERGY_ERROR_CAP
     return min(err, ENERGY_ERROR_CAP)
@@ -109,8 +104,8 @@ def windowed_mean(times, values, window: float) -> np.ndarray:
     Returns the averaged values at the input times.  Windows narrower than
     the sample spacing reduce to the identity.
     """
-    if not window > 0.0:
-        raise ValueError("window must be positive")
+    if not (window > 0.0 and math.isfinite(window)):
+        raise ValueError("window must be positive and finite")
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != v.shape:

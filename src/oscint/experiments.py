@@ -196,6 +196,8 @@ def fpu_exchange(
 ) -> ExchangeResult:
     """Track stiff-spring energies along a lattice run, optionally against a
     fine Stormer-Verlet reference started from the same state."""
+    if not (window > 0.0 and math.isfinite(window)):
+        raise ValueError("window must be positive and finite")
     sys = fpu_build(FpuParams(ell, omega))
     state0 = fpu_initial_state(sys)
     spec = StepperSpec(method=method, h=h, substeps=substeps)

@@ -13,6 +13,7 @@ transforms are assembled from the analytic partials.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,8 @@ class DiscreteLagrangian:
     mass: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.h > 0.0:
-            raise ValueError("h must be positive")
+        if not (self.h > 0.0 and math.isfinite(self.h)):
+            raise ValueError("h must be positive and finite")
         if self.mass is not None:
             mass = sym_matrix(self.mass)
             if mass.shape != (self.system.d, self.system.d):
@@ -81,36 +82,32 @@ def ld_value(ld: DiscreteLagrangian, q0, q1) -> float:
     return kinetic - pot
 
 
-def ld_d1(ld: DiscreteLagrangian, q0, q1) -> np.ndarray:
-    """Exact gradient of ld_value with respect to the first endpoint."""
+def _partial_terms(ld: DiscreteLagrangian, q0, q1, at_q1: bool):
+    """M v and the potential gradient that the partial with respect to q0
+    (at_q1 false) or q1 (at_q1 true) weighs by h/2."""
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
-    h, sys = ld.h, ld.system
-    mv = _mass_apply(ld, (q1 - q0) / h)
+    sys = ld.system
+    mv = _mass_apply(ld, (q1 - q0) / ld.h)
     mid = 0.5 * (q0 + q1)
+    end = q1 if at_q1 else q0
     if ld.variant is Quadrature.TRAPEZOIDAL:
-        grad = _grad_slow(sys, q0) + sys.omega2 @ q0
-    elif ld.variant is Quadrature.MIDPOINT:
-        grad = _grad_slow(sys, mid) + sys.omega2 @ mid
-    else:
-        grad = _grad_slow(sys, q0) + sys.omega2 @ mid
-    return -mv - 0.5 * h * grad
+        return mv, _grad_slow(sys, end) + sys.w2 * end
+    if ld.variant is Quadrature.MIDPOINT:
+        return mv, _grad_slow(sys, mid) + sys.w2 * mid
+    return mv, _grad_slow(sys, end) + sys.w2 * mid
+
+
+def ld_d1(ld: DiscreteLagrangian, q0, q1) -> np.ndarray:
+    """Exact gradient of ld_value with respect to the first endpoint."""
+    mv, grad = _partial_terms(ld, q0, q1, at_q1=False)
+    return -mv - 0.5 * ld.h * grad
 
 
 def ld_d2(ld: DiscreteLagrangian, q0, q1) -> np.ndarray:
     """Exact gradient of ld_value with respect to the second endpoint."""
-    q0 = np.asarray(q0, dtype=float)
-    q1 = np.asarray(q1, dtype=float)
-    h, sys = ld.h, ld.system
-    mv = _mass_apply(ld, (q1 - q0) / h)
-    mid = 0.5 * (q0 + q1)
-    if ld.variant is Quadrature.TRAPEZOIDAL:
-        grad = _grad_slow(sys, q1) + sys.omega2 @ q1
-    elif ld.variant is Quadrature.MIDPOINT:
-        grad = _grad_slow(sys, mid) + sys.omega2 @ mid
-    else:
-        grad = _grad_slow(sys, q1) + sys.omega2 @ mid
-    return mv - 0.5 * h * grad
+    mv, grad = _partial_terms(ld, q0, q1, at_q1=True)
+    return mv - 0.5 * ld.h * grad
 
 
 def del_residual(ld: DiscreteLagrangian, q_prev, q, q_next) -> np.ndarray:

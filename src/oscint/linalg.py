@@ -1,8 +1,8 @@
-"""Small dense linear algebra: SPD solves, matrix validation, 2x2 spectra.
+"""Small dense linear algebra: SPD factorization, matrix validation, 2x2 spectra.
 
-The steppers' stiff flow is per-axis and needs none of this; the SPD solve
-serves Stormer-Verlet with a mass override and the discrete Lagrangians'
-mass check, both sized for a handful of degrees of freedom.
+The steppers' stiff flow is per-axis and needs none of this; the SPD
+factorization serves the discrete Lagrangians' mass check, sized for a
+handful of degrees of freedom.
 """
 from __future__ import annotations
 
@@ -25,16 +25,6 @@ def sym_matrix(entries) -> np.ndarray:
     return a
 
 
-def skew_matrix(entries) -> np.ndarray:
-    """Validate and return an exactly antisymmetric float64 matrix."""
-    a = np.array(entries, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.array_equal(a, -a.T):
-        raise ValueError("matrix entries are not exactly antisymmetric")
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class SpdFactor:
     """Reusable Cholesky factorization A = L L' of a symmetric positive definite matrix."""
@@ -54,22 +44,6 @@ def spd_factor(a) -> SpdFactor:
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
     return SpdFactor(lower)
-
-
-def solve_spd(a, b) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A."""
-    return spd_factor(a).solve(b)
-
-
-def cayley(s) -> np.ndarray:
-    """(I - S/2)^(-1) (I + S/2), special orthogonal for real skew S.
-
-    Computed by solving against the columns of I + S/2; no explicit inverse.
-    The solve cannot fail for skew input: I - S/2 has determinant >= 1.
-    """
-    s = np.asarray(s, dtype=float)
-    eye = np.eye(s.shape[0])
-    return np.linalg.solve(eye - 0.5 * s, eye + 0.5 * s)
 
 
 def spectral_radius_2x2(p) -> float:

@@ -3,11 +3,10 @@
 The central method is an implicit-explicit splitting: a half kick from the
 slow force, one implicit midpoint step of the fast quadratic part, and a
 closing half kick.  Omega is diagonal, so the implicit midpoint "solve" is
-one division per axis.  Baselines for comparison: plain Stormer-Verlet
-(optionally with a modified mass matrix), a fully implicit midpoint step on
-the whole potential, the multiple time-stepping impulse method (r-RESPA),
-and an impulse variant whose fast rotation uses per-axis modified
-frequencies.
+one division per axis.  Baselines for comparison: plain Stormer-Verlet, a
+fully implicit midpoint step on the whole potential, the multiple
+time-stepping impulse method (r-RESPA), and an impulse variant whose fast
+rotation uses per-axis modified frequencies.
 
 Each method is a kernel bound to one run's state buffers: a builder takes
 the buffers q and p, sets up once the views, scratch and bound slow force
@@ -17,9 +16,10 @@ slow force is a SlowForce.  The splitting and Verlet kernels keep the half
 kick k, (h/2) times the force they kick with, in a buffer of their own:
 binding evaluates it at the start state, and step n's closing kick is step
 n+1's opening kick, so a run of n steps evaluates the slow force n + 1
-times.  integrate holds the state in one buffer z = [q | p] and records
-copies of it; the public step_* functions copy their input state into
-fresh buffers, bind, step once and return a fresh State.
+times.  _kernel is the one map from a method to its kernel.  integrate
+holds the state in one buffer z = [q | p] and records copies of it; the
+public step_* functions copy their input state into fresh buffers, bind,
+step once and return a fresh State.
 """
 from __future__ import annotations
 
@@ -31,10 +31,12 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import spd_factor
 from .systems import OscillatorySystem, State, bind_slow_force, stiff_energy_rows
 
 BLOWUP_NORM_CAP = 1e8
+# midpoint-full's fixed-point stopping rule: max-norm change and iteration cap
+FP_TOL = 1e-12
+FP_MAX_ITER = 200
 # Work bound of one integrate run, each RESPA substep counted as a step;
 # checked before anything is allocated.  At ~20 us per lattice step it is
 # over half an hour of stepping.
@@ -87,14 +89,11 @@ class Method(enum.Enum):
 
 @dataclass(frozen=True)
 class StepperSpec:
-    """Method selection plus the knobs the method actually reads."""
+    """Method, step size and, for RESPA, the substeps per step."""
 
     method: Method
     h: float
     substeps: int = 1
-    mass_override: np.ndarray | None = None
-    fp_tol: float = 1e-12
-    fp_max_iter: int = 200
 
     def __post_init__(self) -> None:
         # accept the enum's string value so callers can say method="imex"
@@ -103,8 +102,6 @@ class StepperSpec:
             raise ValueError("h must be positive and finite")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
-        if not self.fp_tol > 0.0 or self.fp_max_iter < 1:
-            raise ValueError("fp_tol must be positive and fp_max_iter >= 1")
 
 
 def _fast_midpoint(w2: np.ndarray, h: float, q: np.ndarray, p: np.ndarray) -> FastMap:
@@ -218,14 +215,11 @@ def _splitting_kernel(force, fast: FastMap, h: float, q: np.ndarray, p: np.ndarr
     return kernel
 
 
-def _verlet_kernel(
-    sys: OscillatorySystem, h: float, q: np.ndarray, p: np.ndarray, mass_override=None
-) -> Kernel:
-    """Kick-drift-kick on the full force; drift uses M^(-1) when a mass is
-    given.  The carried half kick is (h/2)(g(q) - Omega^2 q)."""
+def _verlet_kernel(sys: OscillatorySystem, h: float, q: np.ndarray, p: np.ndarray) -> Kernel:
+    """Kick-drift-kick on the full force.  The carried half kick is
+    (h/2)(g(q) - Omega^2 q)."""
     w2 = sys.w2
     h, half = _operand(h, q), _operand(0.5 * h, q)
-    solve = None if mass_override is None else spd_factor(mass_override).solve
     k, f, tmp = _scratch(q, 3)
     force_at_q = bind_slow_force(sys.slow_force, q, k)
 
@@ -239,7 +233,7 @@ def _verlet_kernel(
 
     def kernel():
         np.add(p, k, out=p)
-        np.multiply(h, p if solve is None else solve(p), out=tmp)
+        np.multiply(h, p, out=tmp)
         np.add(q, tmp, out=q)
         half_kick()
         np.add(p, k, out=p)
@@ -291,16 +285,19 @@ def _midpoint_full_kernel(
     return kernel
 
 
-def _kernel(sys: OscillatorySystem, spec: StepperSpec, q: np.ndarray, p: np.ndarray) -> Kernel:
-    h = spec.h
-    if spec.method is Method.SV:
-        return _verlet_kernel(sys, h, q, p, spec.mass_override)
-    if spec.method is Method.MIDPOINT_FULL:
-        return _midpoint_full_kernel(sys, h, spec.fp_tol, spec.fp_max_iter, q, p)
-    if spec.method is Method.IMEX:
+def _kernel(
+    sys: OscillatorySystem, method: Method, h: float, q: np.ndarray, p: np.ndarray,
+    substeps: int = 1,
+) -> Kernel:
+    """The method's kernel bound to q and p; substeps is read by RESPA only."""
+    if method is Method.SV:
+        return _verlet_kernel(sys, h, q, p)
+    if method is Method.MIDPOINT_FULL:
+        return _midpoint_full_kernel(sys, h, FP_TOL, FP_MAX_ITER, q, p)
+    if method is Method.IMEX:
         fast = _fast_midpoint(sys.w2, h, q, p)
-    elif spec.method is Method.RESPA:
-        fast = _fast_verlet(sys.w2, h, spec.substeps, q, p)
+    elif method is Method.RESPA:
+        fast = _fast_verlet(sys.w2, h, substeps, q, p)
     else:
         fast = _fast_rotation(sys.omega, h, q, p)
     return _splitting_kernel(sys.slow_force, fast, h, q, p)
@@ -321,18 +318,11 @@ def _state_step(bind: Callable[[np.ndarray, np.ndarray], Kernel], state: State, 
     return State(state.t + h, q, p)
 
 
-def _split_step(
-    sys: OscillatorySystem,
-    fast: Callable[[np.ndarray, np.ndarray], FastMap],
-    state: State,
-    h: float,
+def _method_step(
+    sys: OscillatorySystem, method: Method, state: State, h: float, substeps: int = 1
 ) -> State:
-    """One splitting step around the fast map fast(q, p) binds."""
-
-    def bind(q, p):
-        return _splitting_kernel(sys.slow_force, fast(q, p), h, q, p)
-
-    return _state_step(bind, state, h)
+    """One step of the method's kernel on a copy of the state; h may be negative."""
+    return _state_step(lambda q, p: _kernel(sys, method, h, q, p, substeps), state, h)
 
 
 def kick_slow(sys: OscillatorySystem, state: State, dt: float) -> State:
@@ -347,37 +337,32 @@ def step_midpoint_fast(sys: OscillatorySystem, state: State, h: float) -> State:
 
 def step_imex(sys: OscillatorySystem, state: State, h: float) -> State:
     """Half slow kick, implicit midpoint on the fast part, half slow kick."""
-    return _split_step(sys, partial(_fast_midpoint, sys.w2, h), state, h)
+    return _method_step(sys, Method.IMEX, state, h)
 
 
-def step_stormer_verlet(
-    sys: OscillatorySystem,
-    state: State,
-    h: float,
-    mass_override: np.ndarray | None = None,
-) -> State:
-    """Kick-drift-kick on the full force; drift uses M^(-1) when a mass is given."""
-    return _state_step(partial(_verlet_kernel, sys, h, mass_override=mass_override), state, h)
+def step_stormer_verlet(sys: OscillatorySystem, state: State, h: float) -> State:
+    """Kick-drift-kick on the full force."""
+    return _method_step(sys, Method.SV, state, h)
 
 
 def step_respa(sys: OscillatorySystem, state: State, h: float, substeps: int) -> State:
     """Impulse multiple time stepping: outer half kicks of the slow force
     around `substeps` Stormer-Verlet substeps of the fast-only system."""
-    return _split_step(sys, partial(_fast_verlet, sys.w2, h, substeps), state, h)
+    return _method_step(sys, Method.RESPA, state, h, substeps)
 
 
 def step_modified_impulse(sys: OscillatorySystem, state: State, h: float) -> State:
     """Impulse method whose fast step rotates each axis by its modified
     frequency (see _fast_rotation)."""
-    return _split_step(sys, partial(_fast_rotation, sys.omega, h), state, h)
+    return _method_step(sys, Method.MODIFIED_IMPULSE, state, h)
 
 
 def step_midpoint_full(
     sys: OscillatorySystem,
     state: State,
     h: float,
-    fp_tol: float = 1e-12,
-    fp_max_iter: int = 200,
+    fp_tol: float = FP_TOL,
+    fp_max_iter: int = FP_MAX_ITER,
 ) -> State:
     """Implicit midpoint on the full potential (see _midpoint_full_kernel)."""
     return _state_step(partial(_midpoint_full_kernel, sys, h, fp_tol, fp_max_iter), state, h)
@@ -385,7 +370,7 @@ def step_midpoint_full(
 
 def make_stepper(sys: OscillatorySystem, spec: StepperSpec) -> Callable[[State], State]:
     """Bind a spec to a system as a State -> State map."""
-    return lambda s: _state_step(partial(_kernel, sys, spec), s, spec.h)
+    return lambda s: _method_step(sys, spec.method, s, spec.h, spec.substeps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,7 +449,7 @@ def integrate(
     if not (np.isfinite(state0.q).all() and np.isfinite(state0.p).all()):
         raise ValueError("the initial state must be finite")
     z, q, p = _state_buffers(state0)
-    kernel = _kernel(sys, spec, q, p)
+    kernel = _kernel(sys, spec.method, spec.h, q, p, spec.substeps)
     # the start, every stride-th state, and a possible blow-up sample
     n_rows = n_steps // stride + 2
     qs = np.empty((n_rows, sys.d))

@@ -60,8 +60,8 @@ class OscillatorySystem:
     (shape (n, d)) in one call.  The steppers evaluate slow_force through
     bind_slow_force, in place when it is a SlowForce.  ell marks lattice
     systems that carry stiff-spring energy diagnostics.  Only the
-    frequencies are stored; w2 holds their squares and omega2 builds the
-    dense Omega^2 on access.
+    frequencies are stored and w2 holds their squares; omega2 builds the
+    dense Omega^2 on access, which no library path does.
     """
 
     omega: np.ndarray
@@ -281,18 +281,6 @@ def fpu_inverse_transform(x, y) -> tuple[np.ndarray, np.ndarray]:
     p[0::2] = (y[:ell] - y[ell:]) / _SQRT2
     p[1::2] = (y[:ell] + y[ell:]) / _SQRT2
     return q, p
-
-
-def fpu_hamiltonian(sys: OscillatorySystem, state: State) -> float:
-    """Total lattice energy in averaged/extension coordinates."""
-    if sys.ell is None:
-        raise ValueError("fpu_hamiltonian needs a lattice system")
-    ell = sys.ell
-    omega = sys.omega[-1]
-    x1 = state.q[ell:]
-    kinetic = 0.5 * float(state.p @ state.p)
-    stiff = 0.5 * omega * omega * float(x1 @ x1)
-    return kinetic + stiff + float(sys.slow_potential(state.q))
 
 
 def stiff_energies(sys: OscillatorySystem, state: State) -> tuple[np.ndarray, float]:

@@ -92,10 +92,10 @@ class TestModifiedFrequency:
         assert 0.0 <= modified_frequency(h, omega) < math.pi / h
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            modified_frequency(0.0, 1.0)
-        with pytest.raises(ValueError):
-            modified_frequency(0.1, -1.0)
+        for h, omega in ((0.0, 1.0), (0.1, -1.0), (math.inf, 1.0), (math.nan, 1.0),
+                         (0.1, math.inf), (0.1, math.nan)):
+            with pytest.raises(ValueError):
+                modified_frequency(h, omega)
 
 
 class TestModifiedMass:
@@ -111,6 +111,11 @@ class TestModifiedMass:
         want = np.eye(6) + 0.25 * 0.01 * fpu_sys.omega2
         assert np.allclose(got, want, rtol=1e-15, atol=0.0)
         spd_factor(got)  # must be positive definite
+
+    def test_invalid_arguments(self):
+        for h, omega2 in ((math.nan, [[1.0]]), (math.inf, [[1.0]]), (0.1, [[math.inf]])):
+            with pytest.raises(ValueError):
+                modified_mass(h, omega2)
 
 
 class TestPropagationMatrices:
@@ -220,11 +225,6 @@ class TestMaxEnergyError:
     def test_nan_energy_reports_cap(self):
         assert max_energy_error(_toy_traj([1.0, np.nan])) == ENERGY_ERROR_CAP
 
-    def test_energy_fn_override(self):
-        traj = _toy_traj([0.0, 0.0, 0.0])
-        got = max_energy_error(traj, energy_fn=lambda q, p: float(q[0]) + 2.0)
-        assert got == 0.0
-
 
 class TestWindowedMean:
     def test_constant_series_stays_constant(self):
@@ -271,8 +271,9 @@ class TestWindowedMean:
     def test_invalid_arguments(self):
         t = np.arange(4.0)
         v = np.zeros(4)
-        with pytest.raises(ValueError):
-            windowed_mean(t, v, 0.0)
+        for window in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                windowed_mean(t, v, window)
         with pytest.raises(ValueError):
             windowed_mean(np.array([0.0, 0.0, 1.0, 2.0]), v, 1.0)
         with pytest.raises(ValueError):

@@ -179,6 +179,24 @@ class TestFpuExchange:
         assert header == ["t", "I_1", "I_2", "I_3", "I_total", "H"]
         assert any(m.startswith("# windowed_sup_diff") for m in meta)
 
+    @pytest.mark.parametrize(
+        "window, reference",
+        [("nan", ()), ("-1", ()), ("0", ()),
+         ("inf", ("--reference-h", "0.0005")), ("nan", ("--reference-h", "0.0005"))],
+        ids=["nan", "negative", "zero", "inf-with-reference", "nan-with-reference"],
+    )
+    def test_bad_window_is_config_error(self, tmp_path, window, reference):
+        # rejected before any step: the reference run alone would take about
+        # a minute, past the timeout
+        out = tmp_path / "x.csv"
+        proc = run_cli(
+            "fpu-exchange", "--t-end", "2000", *reference, f"--window={window}",
+            "--out", str(out), timeout=30,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("oscint: error: window")
+        assert not out.exists()
+
 
 class TestConvergence:
     def test_single_method_in_range(self):

@@ -174,8 +174,9 @@ class TestDelResidual:
 
 class TestValidation:
     def test_h_must_be_positive(self, fpu_sys):
-        with pytest.raises(ValueError):
-            DiscreteLagrangian(fpu_sys, 0.0, Quadrature.IMEX)
+        for h in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                DiscreteLagrangian(fpu_sys, h, Quadrature.IMEX)
 
     def test_mass_shape_checked(self, fpu_sys):
         with pytest.raises(ValueError):

@@ -1,16 +1,9 @@
 """Unit tests for the small dense linear-algebra helpers."""
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from oscint.linalg import (
     NotPositiveDefinite,
-    cayley,
-    skew_matrix,
-    solve_spd,
     spd_factor,
     spectral_radius_2x2,
     sym_matrix,
@@ -31,26 +24,14 @@ class TestMatrixValidators:
         with pytest.raises(ValueError, match="symmetric"):
             sym_matrix([[0.0, 1.0], [1.0 + 1e-15, 0.0]])
 
-    def test_skew_matrix_accepts_antisymmetric(self):
-        s = skew_matrix([[0.0, 2.0], [-2.0, 0.0]])
-        assert np.array_equal(s, -s.T)
-
-    def test_skew_matrix_rejects_nonzero_diagonal(self):
-        with pytest.raises(ValueError, match="antisymmetric"):
-            skew_matrix([[1.0, 2.0], [-2.0, 1.0]])
-
-    def test_skew_matrix_rejects_symmetric_offdiagonal(self):
-        with pytest.raises(ValueError, match="antisymmetric"):
-            skew_matrix([[0.0, 1.0], [1.0, 0.0]])
-
 
 class TestSolveSpd:
     def test_identity(self):
         b = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(solve_spd(np.eye(3), b), b)
+        assert np.array_equal(spd_factor(np.eye(3)).solve(b), b)
 
     def test_scalar(self):
-        assert solve_spd([[4.0]], [2.0]) == pytest.approx([0.5])
+        assert spd_factor([[4.0]]).solve([2.0]) == pytest.approx([0.5])
 
     def test_residual_on_random_spd(self):
         rng = np.random.default_rng(7)
@@ -59,7 +40,7 @@ class TestSolveSpd:
             b_mat = rng.standard_normal((d, d))
             a = b_mat.T @ b_mat + np.eye(d)
             b = rng.standard_normal(d)
-            x = solve_spd(a, b)
+            x = spd_factor(a).solve(b)
             resid = np.max(np.abs(a @ x - b))
             assert resid <= 1e-12 * (1.0 + np.max(np.abs(b)))
 
@@ -72,48 +53,11 @@ class TestSolveSpd:
     def test_indefinite_raises(self):
         # eigenvalues -1 and 3
         with pytest.raises(NotPositiveDefinite):
-            solve_spd([[1.0, 2.0], [2.0, 1.0]], [1.0, 1.0])
+            spd_factor([[1.0, 2.0], [2.0, 1.0]]).solve([1.0, 1.0])
 
     def test_semidefinite_raises(self):
         with pytest.raises(NotPositiveDefinite):
             spd_factor([[0.0]])
-
-
-def _random_skew(rng, d):
-    a = rng.uniform(-5.0, 5.0, size=(d, d))
-    return a - a.T  # entries in [-10, 10], exactly antisymmetric
-
-
-class TestCayley:
-    def test_zero_is_identity(self):
-        assert np.array_equal(cayley(np.zeros((3, 3))), np.eye(3))
-
-    def test_planar_rotation_angle(self):
-        # a 2x2 skew block maps to the rotation by 2*atan(s/2)
-        for s in (0.5, 2.0, 5.0, 40.0):
-            theta = 2.0 * math.atan(0.5 * s)
-            want = np.array(
-                [[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]]
-            )
-            got = cayley([[0.0, s], [-s, 0.0]])
-            assert got == pytest.approx(want, abs=1e-14)
-
-    def test_quarter_turn(self):
-        got = cayley([[0.0, 2.0], [-2.0, 0.0]])
-        assert got == pytest.approx(np.array([[0.0, 1.0], [-1.0, 0.0]]), abs=1e-15)
-
-    @given(st.integers(0, 10_000))
-    def test_orthogonality_random_skew(self, seed):
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(2, 7))
-        q = cayley(_random_skew(rng, d))
-        assert np.max(np.abs(q.T @ q - np.eye(d))) <= 1e-12
-
-    def test_special_orthogonal(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            q = cayley(_random_skew(rng, 6))
-            assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSpectralRadius2x2:

@@ -10,7 +10,6 @@ from oscint.systems import (
     State,
     coupled_oscillator_build,
     fpu_build,
-    fpu_hamiltonian,
     fpu_initial_state,
     fpu_inverse_transform,
     fpu_transform,
@@ -208,24 +207,17 @@ class TestEnergies:
     def test_hamiltonian_at_canonical_start(self, fpu_sys):
         state = fpu_initial_state(fpu_sys)
         want = 0.5 * 2.0 + 0.5 + 0.25 * (0.98 ** 4 + 1.02 ** 4)
-        assert fpu_hamiltonian(fpu_sys, state) == pytest.approx(want, rel=1e-12)
+        assert fpu_sys.total_energy(state.q, state.p) == pytest.approx(want, rel=1e-12)
 
     def test_hamiltonian_zero_state(self, fpu_sys):
-        assert fpu_hamiltonian(fpu_sys, State(0.0, np.zeros(6), np.zeros(6))) == 0.0
+        assert fpu_sys.total_energy(np.zeros(6), np.zeros(6)) == 0.0
 
     def test_hamiltonian_single_extension(self, fpu_sys):
         c = 0.37
         q = np.zeros(6)
         q[3] = c
-        h = fpu_hamiltonian(fpu_sys, State(0.0, q, np.zeros(6)))
+        h = fpu_sys.total_energy(q, np.zeros(6))
         assert h == pytest.approx(2500.0 * c * c / 2.0 + c ** 4 / 2.0, rel=1e-12)
-
-    def test_hamiltonian_matches_total_energy(self, fpu_sys):
-        rng = np.random.default_rng(5)
-        state = State(0.0, rng.standard_normal(6), rng.standard_normal(6))
-        assert fpu_hamiltonian(fpu_sys, state) == pytest.approx(
-            fpu_sys.total_energy(state.q, state.p), rel=1e-12
-        )
 
     def test_hamiltonian_agrees_with_per_mass_coordinates(self, fpu_sys):
         # the averaged/extension form must be the same function as the
@@ -236,7 +228,7 @@ class TestEnergies:
             y = rng.standard_normal(6)
             q, p = fpu_inverse_transform(x, y)
             want = _per_mass_energy(q, p, 50.0)
-            got = fpu_hamiltonian(fpu_sys, State(0.0, x, y))
+            got = fpu_sys.total_energy(x, y)
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_stiff_energies_at_canonical_start(self, fpu_sys):
@@ -253,8 +245,6 @@ class TestEnergies:
 
     def test_lattice_helpers_reject_model_system(self, model50):
         state = State(0.0, [1.0], [0.0])
-        with pytest.raises(ValueError):
-            fpu_hamiltonian(model50, state)
         with pytest.raises(ValueError):
             stiff_energies(model50, state)
 
