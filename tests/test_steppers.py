@@ -222,6 +222,8 @@ class TestStepperSpec:
             {"h": 0.0},
             {"h": -1.0},
             {"h": 0.1, "substeps": 0},
+            {"h": 0.1, "substeps": -1},
+            {"h": float("-inf")},
             {"h": float("inf")},
             {"h": float("nan")},
         ],
