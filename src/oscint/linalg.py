@@ -20,6 +20,8 @@ def sym_matrix(entries) -> np.ndarray:
     a = np.array(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix entries are not exactly symmetric")
     return a

@@ -20,6 +20,12 @@ times.  _kernel is the one map from a method to its kernel.  integrate
 holds the state in one buffer z = [q | p] and records copies of it; the
 public step_* functions copy their input state into fresh buffers, bind,
 step once and return a fresh State.
+
+On a short state a numpy call costs far more than its arithmetic, so the
+per-step calls are written lean: each ufunc is looked up once, through a
+module-level name such as _add, and its output buffer is passed
+positionally, _add(p, k, p) rather than np.add(p, k, out=p), which skips
+the keyword parsing and the attribute lookup on every call.
 """
 from __future__ import annotations
 
@@ -42,6 +48,10 @@ FP_MAX_ITER = 200
 # over half an hour of stepping.
 MAX_STEPS = 10 ** 8
 
+# the ufuncs of the per-step calls (see the module docstring)
+_add, _subtract, _multiply, _divide = np.add, np.subtract, np.multiply, np.divide
+_absolute, _isfinite, _max = np.absolute, np.isfinite, np.maximum.reduce
+
 COMPLETED = "completed"
 BLOWUP = "blowup"
 
@@ -55,11 +65,12 @@ FastMap = Callable[[], None]
 def _scratch(like: np.ndarray, n: int) -> list[np.ndarray]:
     """n scratch buffers shaped like the state.
 
-    The kernels never write a ufunc's result over one of its inputs,
-    except where a step accumulates into q or p: numpy treats an in-place
-    operation on a one-element array as a possible reduction and takes its
-    slow buffered path (about 1 us a call), which the d = 1 model system
-    would pay on every such operation.
+    Each kernel call passes one of them as its positional output, as in
+    _multiply(h, p, t1).  The kernels never write a ufunc's result over
+    one of its inputs, except where a step accumulates into q or p: numpy
+    treats an in-place operation on a one-element array as a possible
+    reduction and takes its slow buffered path (about 1 us a call), which
+    the d = 1 model system would pay on every such operation.
     """
     return [np.empty(like.shape) for _ in range(n)]
 
@@ -117,16 +128,16 @@ def _fast_midpoint(w2: np.ndarray, h: float, q: np.ndarray, p: np.ndarray) -> Fa
     w2q, t1, t2, t3 = _scratch(q, 4)
 
     def fast():
-        np.multiply(w2, q, out=w2q)
-        np.multiply(h, p, out=t1)
-        np.add(q, t1, out=t2)
-        np.multiply(quarter_h2, w2q, out=t1)
-        np.subtract(t2, t1, out=t3)
-        np.divide(t3, denom, out=q)
-        np.multiply(w2, q, out=t1)
-        np.add(w2q, t1, out=t2)
-        np.multiply(half, t2, out=t1)
-        np.subtract(p, t1, out=p)
+        _multiply(w2, q, w2q)
+        _multiply(h, p, t1)
+        _add(q, t1, t2)
+        _multiply(quarter_h2, w2q, t1)
+        _subtract(t2, t1, t3)
+        _divide(t3, denom, q)
+        _multiply(w2, q, t1)
+        _add(w2q, t1, t2)
+        _multiply(half, t2, t1)
+        _subtract(p, t1, p)
 
     return fast
 
@@ -152,14 +163,14 @@ def _fast_rotation(omega: np.ndarray, h: float, q: np.ndarray, p: np.ndarray) ->
     t1, t2, t3, t4 = _scratch(q, 4)
 
     def fast():
-        np.multiply(cos_num, q, out=t1)
-        np.multiply(h, p, out=t2)
-        np.add(t1, t2, out=t3)
-        np.multiply(cos_num, p, out=t1)
-        np.multiply(h_w2, q, out=t2)
-        np.subtract(t1, t2, out=t4)
-        np.divide(t4, denom, out=p)
-        np.divide(t3, denom, out=q)
+        _multiply(cos_num, q, t1)
+        _multiply(h, p, t2)
+        _add(t1, t2, t3)
+        _multiply(cos_num, p, t1)
+        _multiply(h_w2, q, t2)
+        _subtract(t1, t2, t4)
+        _divide(t4, denom, p)
+        _divide(t3, denom, q)
 
     return fast
 
@@ -178,17 +189,17 @@ def _fast_verlet(
     kick, tmp = _scratch(q, 2)
 
     def half_kick():
-        np.multiply(w2, q, out=tmp)
-        np.multiply(half_dt, tmp, out=kick)
+        _multiply(w2, q, tmp)
+        _multiply(half_dt, tmp, kick)
 
     def fast():
         half_kick()
         for _ in range(substeps):
-            np.subtract(p, kick, out=p)
-            np.multiply(dt, p, out=tmp)
-            np.add(q, tmp, out=q)
+            _subtract(p, kick, p)
+            _multiply(dt, p, tmp)
+            _add(q, tmp, q)
             half_kick()
-            np.subtract(p, kick, out=p)
+            _subtract(p, kick, p)
 
     return fast
 
@@ -202,15 +213,15 @@ def _splitting_kernel(force, fast: FastMap, h: float, q: np.ndarray, p: np.ndarr
 
     def half_kick():
         force_at_q()
-        np.multiply(half, f, out=k)
+        _multiply(half, f, k)
 
     half_kick()
 
     def kernel():
-        np.add(p, k, out=p)
+        _add(p, k, p)
         fast()
         half_kick()
-        np.add(p, k, out=p)
+        _add(p, k, p)
 
     return kernel
 
@@ -225,18 +236,18 @@ def _verlet_kernel(sys: OscillatorySystem, h: float, q: np.ndarray, p: np.ndarra
 
     def half_kick():
         force_at_q()
-        np.multiply(w2, q, out=tmp)
-        np.subtract(k, tmp, out=f)
-        np.multiply(half, f, out=k)
+        _multiply(w2, q, tmp)
+        _subtract(k, tmp, f)
+        _multiply(half, f, k)
 
     half_kick()
 
     def kernel():
-        np.add(p, k, out=p)
-        np.multiply(h, p, out=tmp)
-        np.add(q, tmp, out=q)
+        _add(p, k, p)
+        _multiply(h, p, tmp)
+        _add(q, tmp, q)
         half_kick()
-        np.add(p, k, out=p)
+        _add(p, k, p)
 
     return kernel
 
@@ -252,35 +263,53 @@ def _midpoint_full_kernel(
     max norm.  Contracts only while (h^2/4) Lip(f) < 1, so this is a
     small-step baseline.  It evaluates the slow force at midpoints only and
     carries no kick.  On NoConvergence q and p are left as they were.
+
+    The iterates ping-pong between two buffers, each with its own bound
+    slow force, so no iterate is written over its predecessor.  A finite
+    change <= fp_tol implies a finite iterate, and a non-finite iterate
+    makes the change NaN or inf, so finiteness is checked only when the
+    test fails.
     """
     w2 = sys.w2
-    half_h, quarter_h2 = 0.5 * h, 0.25 * h * h
-    m, f = _scratch(q, 2)
-    force_at_m = bind_slow_force(sys.slow_force, m, f)
+    h, half_h, quarter_h2, two = (_operand(c, q) for c in (h, 0.5 * h, 0.25 * h * h, 2.0))
+    ma, mb, base, f, t1, t2, diff, delta = _scratch(q, 8)
+    # the max norm of the change reduces over every axis of a block too
+    delta_flat = delta.reshape(-1)
+    finite = np.empty(q.shape, dtype=bool)
+    force_a = bind_slow_force(sys.slow_force, ma, f)
+    force_b = bind_slow_force(sys.slow_force, mb, f)
 
-    def total_force_at_m():
+    def total_force(m, force_at_m):
+        """f - w2 m into t2."""
         force_at_m()
-        return f - w2 * m
+        _multiply(w2, m, t1)
+        _subtract(f, t1, t2)
 
-    # the fixed-point iteration keeps its allocating operator form: an out=
-    # rewrite gained nothing on the lattice, and its in-place updates would
-    # pay numpy's one-element penalty on the d = 1 model (see _scratch)
     def kernel():
-        base = q + half_h * p
-        np.copyto(m, base)
+        _multiply(half_h, p, t1)
+        _add(q, t1, base)
+        np.copyto(ma, base)
+        m, force_m, m_next, force_next = ma, force_a, mb, force_b
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(fp_max_iter):
-                m_next = base + quarter_h2 * total_force_at_m()
-                if not np.isfinite(m_next).all():
+                total_force(m, force_m)
+                _multiply(quarter_h2, t2, t1)
+                _add(base, t1, m_next)
+                _subtract(m_next, m, diff)
+                _absolute(diff, delta)
+                done = _max(delta_flat) <= fp_tol
+                if not done and not _isfinite(m_next, finite).all():
                     raise NoConvergence(i + 1)
-                done = float(np.max(np.abs(m_next - m))) <= fp_tol
-                np.copyto(m, m_next)
+                m, force_m, m_next, force_next = m_next, force_next, m, force_m
                 if done:
                     break
             else:
                 raise NoConvergence(fp_max_iter)
-        np.copyto(p, p + h * total_force_at_m())
-        np.copyto(q, 2.0 * m - q)
+        total_force(m, force_m)
+        _multiply(h, t2, t1)
+        _add(p, t1, p)
+        _multiply(two, m, t1)
+        _subtract(t1, q, q)
 
     return kernel
 
@@ -460,6 +489,7 @@ def integrate(
     n = 0
     cap = BLOWUP_NORM_CAP
     cap2 = cap * cap
+    zdot = z.dot
     status, t_blowup, cause = COMPLETED, None, None
     for n in range(1, n_steps + 1):
         try:
@@ -470,7 +500,7 @@ def integrate(
         else:
             # z.z <= cap^2 bounds every component by the cap (NaN and
             # overflow fail it); only a failing state pays for the exact test
-            if np.dot(z, z) <= cap2 or np.abs(z).max() <= cap:
+            if zdot(z) <= cap2 or np.abs(z).max() <= cap:
                 if n % stride == 0:
                     qs[rows], ps[rows], steps[rows] = q, p, n
                     rows += 1

@@ -12,7 +12,8 @@ The built-in slow forces are SlowForce objects: besides g(x) they offer
 bind(x, out), a call that writes g(x) into the fixed buffer out each time
 it runs, so a run that steps its state in place evaluates the force
 without allocating.  bind_slow_force gives any other callable the same
-shape.
+shape.  Like the steppers' kernels, a bound force looks each ufunc up once,
+through a module-level name, and passes its output positionally.
 """
 from __future__ import annotations
 
@@ -24,6 +25,9 @@ from typing import Callable
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
+
+# the ufuncs of the bound forces' calls
+_add, _subtract, _negative, _power = np.add, np.subtract, np.negative, np.power
 
 # Largest lattice fpu_build accepts, in stiff springs (2*MAX_ELL masses);
 # checked before anything is allocated.  One IMEX step costs ~11 ms at
@@ -151,7 +155,7 @@ class _ModelSlowForce(SlowForce):
     """g(q) = -q: the unit soft spring of every model axis."""
 
     def bind(self, x, out):
-        return functools.partial(np.negative, x, out=out)
+        return functools.partial(_negative, x, out)
 
 
 def coupled_oscillator_build(omega) -> OscillatorySystem:
@@ -189,9 +193,9 @@ def _bind_stretches(x: np.ndarray, ell: int, s: np.ndarray) -> Callable[[], None
     a_head, b_tail = a[..., :-1], b[..., 1:]
 
     def stretches():
-        np.subtract(x0, x1, out=a_head)
-        np.add(x0, x1, out=b_tail)
-        np.subtract(a, b, out=s)
+        _subtract(x0, x1, a_head)
+        _add(x0, x1, b_tail)
+        _subtract(a, b, s)
 
     return stretches
 
@@ -226,9 +230,9 @@ class _FpuSlowForce(SlowForce):
 
         def force():
             stretches()
-            np.power(c, three, out=c)
-            np.subtract(c_tail, c_head, out=g0)
-            np.add(c_head, c_tail, out=g1)
+            _power(c, three, c)
+            _subtract(c_tail, c_head, g0)
+            _add(c_head, c_tail, g1)
 
         return force
 

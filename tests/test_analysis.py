@@ -117,6 +117,11 @@ class TestModifiedMass:
             with pytest.raises(ValueError):
                 modified_mass(h, omega2)
 
+    def test_non_finite_entries_named_before_symmetry(self):
+        for omega2 in ([[math.nan]], [[1.0, math.nan], [math.nan, 1.0]], [[-math.inf]]):
+            with pytest.raises(ValueError, match="must be finite"):
+                modified_mass(0.1, omega2)
+
 
 class TestPropagationMatrices:
     def test_matrix_reproduces_linear_step(self):
@@ -278,6 +283,9 @@ class TestWindowedMean:
             windowed_mean(np.array([0.0, 0.0, 1.0, 2.0]), v, 1.0)
         with pytest.raises(ValueError):
             windowed_mean(t, np.zeros(3), 1.0)
+        for bad in ([0.0, math.nan, 2.0, 3.0], [0.0, 1.0, 2.0, math.inf]):
+            with pytest.raises(ValueError, match="times must be finite"):
+                windowed_mean(np.array(bad), v, 1.0)
 
 
 class TestConvergenceOrder:

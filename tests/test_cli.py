@@ -1,9 +1,11 @@
-"""End-to-end tests of the command-line harness through a real subprocess."""
+"""End-to-end tests of the command-line harness through a real subprocess,
+and of its CSV row formatting."""
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -246,3 +248,17 @@ def test_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_csv_rows_match_per_value_format():
+    # the CSV writers format a row with one %-format string; each field must
+    # read exactly as the per-value format(x, ".17g") it replaced
+    from oscint.cli import _fmt, _rows
+
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310, 2.2250738585072014e-308,
+               np.finfo(float).max, -np.finfo(float).max, 0.1, 1.0, 123456789.0]
+    randoms = rng.choice([-1.0, 1.0], 6000) * 10.0 ** rng.uniform(-300, 300, 6000)
+    block = np.concatenate([special, randoms[: 6000 - len(special)]]).reshape(-1, 3)
+    want = [",".join(_fmt(float(v)) for v in row) for row in block]
+    assert _rows([block[:, 0], block[:, 1:]]) == want

@@ -24,6 +24,12 @@ class TestMatrixValidators:
         with pytest.raises(ValueError, match="symmetric"):
             sym_matrix([[0.0, 1.0], [1.0 + 1e-15, 0.0]])
 
+    def test_sym_matrix_rejects_non_finite(self):
+        # a NaN entry also fails the symmetry test; the finiteness message wins
+        for bad in ([[np.nan]], [[1.0, np.nan], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]):
+            with pytest.raises(ValueError, match="entries must be finite"):
+                sym_matrix(bad)
+
 
 class TestSolveSpd:
     def test_identity(self):

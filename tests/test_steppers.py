@@ -1,5 +1,6 @@
 """Unit tests for the one-step maps and the trajectory driver."""
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from oscint.steppers import (
     Method,
     NoConvergence,
     StepperSpec,
+    _kernel,
+    _state_buffers,
     integrate,
     kick_slow,
     make_stepper,
@@ -429,6 +432,24 @@ class TestBufferOwnership:
         s = kick_slow(model50, s0, 0.3)
         s.q[0] = 5.0
         assert s0.q[0] == 2.0
+
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=[m.value for m in ALL_METHODS])
+    def test_bound_step_allocates_no_array_data(self, method):
+        # on the ell = 1000 lattice one state vector is 16 000 B; a step's
+        # own bookkeeping (the iteration counter, a reduced scalar) is far less
+        sys_ = fpu_build(FpuParams(ell=1000, omega=50.0))
+        _, q, p = _state_buffers(fpu_initial_state(sys_))
+        kernel = _kernel(sys_, method, 0.01, q, p, substeps=3)
+        kernel()
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            for _ in range(50):
+                kernel()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < q.nbytes
 
 
 def _unbindable(sys_, force):

@@ -1,4 +1,4 @@
-"""Cost of one integrate step per method on the ell=3 lattice, in microseconds.
+"""Cost of one integrate step per method, in microseconds.
 
     python3 tools/step_cost.py [SRC ...] [--repeats N]
 
@@ -6,9 +6,10 @@ Each SRC is the src directory of an oscint checkout (default: this one's).
 Every checkout is loaded as its own package in this process and the runs
 alternate between them, method by method, so a before/after pair shares
 the machine's state.  A run is integrate at stride 1e9 (no samples
-recorded), omega = 50, h = 0.01, from the canonical lattice start; RESPA
-takes 10 substeps.  The table gives the median and quartiles over the
-repeats.
+recorded) at h = 0.01 on two systems: the ell=3 lattice at omega = 50 from
+its canonical start, and the convergence study's d=1 model system at
+omega = 2 from (q, p) = (1, 0.5); RESPA takes 10 substeps.  The table gives
+the median and quartiles over the repeats.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import time
 from pathlib import Path
 
 METHODS = ("sv", "imex", "modified-impulse", "respa", "midpoint-full")
+SYSTEMS = ("lattice", "model")
 H = 0.01
 # midpoint-full iterates its fixed point ~10 times per step
 STEPS = {"midpoint-full": 200}
@@ -38,14 +40,21 @@ def load(src: Path, alias: str):
     return package
 
 
-def us_per_step(oscint, method: str) -> float:
-    system = oscint.fpu_build(oscint.FpuParams(ell=3, omega=50.0))
+def system_and_start(oscint, system: str):
+    """The ell=3 lattice or the d=1 model system, and its start state."""
+    if system == "lattice":
+        lattice = oscint.fpu_build(oscint.FpuParams(ell=3, omega=50.0))
+        return lattice, oscint.fpu_initial_state(lattice)
+    return oscint.coupled_oscillator_build(2.0), oscint.State(0.0, [1.0], [0.5])
+
+
+def us_per_step(oscint, system: str, method: str) -> float:
+    sys_, state0 = system_and_start(oscint, system)
     spec = oscint.StepperSpec(method=method, h=H, substeps=10 if method == "respa" else 1)
     n = STEPS.get(method, DEFAULT_STEPS)
     start = time.perf_counter()
     # (n - 1/2) h keeps the step count at n whatever the rounding of n h
-    oscint.integrate(system, spec, oscint.fpu_initial_state(system), (n - 0.5) * H,
-                     stride=10 ** 9)
+    oscint.integrate(sys_, spec, state0, (n - 0.5) * H, stride=10 ** 9)
     return (time.perf_counter() - start) / n * 1e6
 
 
@@ -56,19 +65,20 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=15)
     args = parser.parse_args()
     packages = [load(src.resolve(), f"oscint_{i}") for i, src in enumerate(args.src)]
-    times = {(i, m): [] for i in range(len(packages)) for m in METHODS}
+    cases = [(s, m) for s in SYSTEMS for m in METHODS]
+    times = {(i, c): [] for i in range(len(packages)) for c in cases}
     for r in range(args.repeats):
-        for m in METHODS:
+        for s, m in cases:
             order = range(len(packages)) if r % 2 == 0 else reversed(range(len(packages)))
             for i in order:
-                times[i, m].append(us_per_step(packages[i], m))
-    print("method".ljust(18) + "".join(f"{str(src):>34}" for src in args.src))
-    for m in METHODS:
+                times[i, (s, m)].append(us_per_step(packages[i], s, m))
+    print("system  method".ljust(26) + "".join(f"{str(src):>34}" for src in args.src))
+    for s, m in cases:
         cells = []
         for i in range(len(packages)):
-            q1, q2, q3 = statistics.quantiles(times[i, m], n=4)
+            q1, q2, q3 = statistics.quantiles(times[i, (s, m)], n=4)
             cells.append(f"{q2:10.1f} [{q1:.1f}, {q3:.1f}]".rjust(34))
-        print(m.ljust(18) + "".join(cells))
+        print(f"{s:<8}{m}".ljust(26) + "".join(cells))
 
 
 if __name__ == "__main__":
