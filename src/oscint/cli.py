@@ -257,10 +257,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _ConfigError as exc:
-        print(f"oscint: error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, OSError, MemoryError) as exc:
+    except (_ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"oscint: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -47,6 +47,9 @@ SWEEP_AMPLITUDE = 1.0
 # before anything is allocated.
 MAX_SWEEP_ROW_STEPS = 10 ** 9
 
+# the ufuncs of the sweep's per-step calls
+_add, _subtract, _multiply, _absolute, _fmax = np.add, np.subtract, np.multiply, np.absolute, np.fmax
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -69,7 +72,8 @@ def _linear_max_energy_errors(
     production stepper reproduces its trajectory; energy is evaluated at
     every step.  Each step is x1 = a x0 + b y0, y1 = c x0 + d y0 on the four
     coefficient vectors of `mats`, and H = 0.5 y^2 + (0.5 spring) x^2, all
-    into preallocated buffers.
+    into preallocated buffers, with the steppers' lean calls: ufuncs looked
+    up once, outputs passed positionally, the factor 0.5 as an array.
 
     Errors are capped at ENERGY_ERROR_CAP, and a diverging row reads the cap
     with no per-step test or reset.  From a finite state the energy, a sum
@@ -91,22 +95,23 @@ def _linear_max_energy_errors(
     h0 = 0.5 * y0 ** 2 + half_spring * x0 ** 2
     err = np.zeros(n)
     x1, y1, tmp, energy = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    half = np.full(n, 0.5)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            np.multiply(a, x0, out=x1)
-            np.multiply(b, y0, out=tmp)
-            np.add(x1, tmp, out=x1)
-            np.multiply(c, x0, out=y1)
-            np.multiply(d, y0, out=tmp)
-            np.add(y1, tmp, out=y1)
-            np.multiply(y1, y1, out=energy)
-            np.multiply(energy, 0.5, out=energy)
-            np.multiply(x1, x1, out=tmp)
-            np.multiply(tmp, half_spring, out=tmp)
-            np.add(energy, tmp, out=energy)
-            np.subtract(energy, h0, out=energy)
-            np.abs(energy, out=energy)
-            np.fmax(err, energy, out=err)
+            _multiply(a, x0, x1)
+            _multiply(b, y0, tmp)
+            _add(x1, tmp, x1)
+            _multiply(c, x0, y1)
+            _multiply(d, y0, tmp)
+            _add(y1, tmp, y1)
+            _multiply(y1, y1, energy)
+            _multiply(energy, half, energy)
+            _multiply(x1, x1, tmp)
+            _multiply(tmp, half_spring, tmp)
+            _add(energy, tmp, energy)
+            _subtract(energy, h0, energy)
+            _absolute(energy, energy)
+            _fmax(err, energy, err)
             x0, x1, y0, y1 = x1, x0, y1, y0
     err[~(np.isfinite(x0) & np.isfinite(y0))] = np.inf
     return np.minimum(err, ENERGY_ERROR_CAP)
@@ -126,8 +131,7 @@ def resonance_sweep(
     """
     if not all(x > 0.0 and math.isfinite(x) for x in (h, t_end, grid, sweep_max)):
         raise ValueError("sweep parameters must be positive and finite")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
+    StepperSpec(Method.RESPA, h, substeps)  # rejects substeps that is not an int >= 1
     rows = 2.0 * sweep_max / grid
     if substeps > MAX_SWEEP_ROW_STEPS or not (
         rows * (t_end / h + 2.0 * substeps) <= MAX_SWEEP_ROW_STEPS

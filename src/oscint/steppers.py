@@ -1,25 +1,26 @@
 """One-step maps for fast/slow systems and the trajectory driver.
 
-The central method is an implicit-explicit splitting: a half kick from the
-slow force, one implicit midpoint step of the fast quadratic part, and a
-closing half kick.  Omega is diagonal, so the implicit midpoint "solve" is
-one division per axis.  Baselines for comparison: plain Stormer-Verlet, a
-fully implicit midpoint step on the whole potential, the multiple
-time-stepping impulse method (r-RESPA), and an impulse variant whose fast
-rotation uses per-axis modified frequencies.
+Every method but one is a kick-drift-kick (_kick_drift_kick): a half kick
+from one force, an inner map across h, and a closing half kick.  The
+central method, an implicit-explicit splitting (IMEX), kicks with the slow
+force around one implicit midpoint step of the fast quadratic part; Omega
+is diagonal, so that "solve" is one division per axis.  The baselines:
+Stormer-Verlet kicks with the full force around a drift; the impulse
+method (r-RESPA) kicks with the slow force around `substeps` Verlet
+substeps of the stiff force, each a kick-drift-kick itself; the modified
+impulse method, around a rotation of each axis by its modified frequency.
+The fully implicit midpoint step on the whole potential stands apart.
 
-Each method is a kernel bound to one run's state buffers: a builder takes
-the buffers q and p, sets up once the views, scratch and bound slow force
-(systems.bind_slow_force) the method needs, and returns a call that
-advances q and p by one step in place.  A step allocates nothing when the
-slow force is a SlowForce.  The splitting and Verlet kernels keep the half
-kick k, (h/2) times the force they kick with, in a buffer of their own:
-binding evaluates it at the start state, and step n's closing kick is step
-n+1's opening kick, so a run of n steps evaluates the slow force n + 1
-times.  _kernel is the one map from a method to its kernel.  integrate
-holds the state in one buffer z = [q | p] and records copies of it; the
-public step_* functions copy their input state into fresh buffers, bind,
-step once and return a fresh State.
+Each method is a kernel bound to one run's state buffers q and p: built
+once, with the views, scratch and bound forces it needs, it advances q and
+p by one step in place at each call, and allocates nothing when the slow
+force is a SlowForce.  A kick-drift-kick carries its half kick, (h/2) F(q),
+from the end of one step to the start of the next, so a run of n steps
+evaluates the slow force n + 1 times.  _kernel is the one map from a
+method to its kernel.  integrate holds the state in one buffer
+z = [q | p] and records copies of it; the public step_* functions copy
+their input state into fresh buffers, bind, step once and return a fresh
+State.
 
 On a short state a numpy call costs far more than its arithmetic, so the
 per-step calls are written lean: each ufunc is looked up once, through a
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -55,11 +57,10 @@ _absolute, _isfinite, _max = np.absolute, np.isfinite, np.maximum.reduce
 COMPLETED = "completed"
 BLOWUP = "blowup"
 
-# A kernel is bound to one run's buffers q and p and advances them by one
-# step in place each time it is called; a fast map is bound the same way
-# and advances them across h under the stiff force alone.
+# A kernel is bound to one run's buffers q and p and advances them in place
+# each time it is called: by a whole step, or by an inner map of one (a
+# drift, a fast flow, RESPA's substeps).
 Kernel = Callable[[], None]
-FastMap = Callable[[], None]
 
 
 def _scratch(like: np.ndarray, n: int) -> list[np.ndarray]:
@@ -111,11 +112,14 @@ class StepperSpec:
         object.__setattr__(self, "method", Method(self.method))
         if not (self.h > 0.0 and math.isfinite(self.h)):
             raise ValueError("h must be positive and finite")
+        # an int, as range() takes one: NaN, 2.5 and 2.0 are rejected
+        if not isinstance(self.substeps, numbers.Integral):
+            raise ValueError("substeps must be an integer")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
 
 
-def _fast_midpoint(w2: np.ndarray, h: float, q: np.ndarray, p: np.ndarray) -> FastMap:
+def _fast_midpoint(w2: np.ndarray, h: float, q: np.ndarray, p: np.ndarray) -> Kernel:
     """Implicit midpoint on q'' = -w2 q, per axis.
 
     Solves (1 + (h^2/4) w2) q1 = (1 - (h^2/4) w2) q0 + h p0, then
@@ -142,7 +146,7 @@ def _fast_midpoint(w2: np.ndarray, h: float, q: np.ndarray, p: np.ndarray) -> Fa
     return fast
 
 
-def _fast_rotation(omega: np.ndarray, h: float, q: np.ndarray, p: np.ndarray) -> FastMap:
+def _fast_rotation(omega: np.ndarray, h: float, q: np.ndarray, p: np.ndarray) -> Kernel:
     """Rotation of each axis by its modified frequency.
 
     With a = h*omega_i/2 the rotation angle w~*h satisfies tan(w~*h/2) = a,
@@ -175,81 +179,72 @@ def _fast_rotation(omega: np.ndarray, h: float, q: np.ndarray, p: np.ndarray) ->
     return fast
 
 
-def _fast_verlet(
-    w2: np.ndarray, h: float, substeps: int, q: np.ndarray, p: np.ndarray
-) -> FastMap:
-    """`substeps` Stormer-Verlet steps of the fast-only system across h.
+def _drift(h: float, q: np.ndarray, p: np.ndarray) -> Kernel:
+    """The free flight q += h p."""
+    h = _operand(h, q)
+    (hp,) = _scratch(q, 1)
 
-    A substep's closing half kick (dt/2)(w2 q) is the next one's opening
-    kick, at the same q, so it is computed once.
+    def drift():
+        _multiply(h, p, hp)
+        _add(q, hp, q)
+
+    return drift
+
+
+def _bind_total_force(sys: OscillatorySystem, x: np.ndarray, out: np.ndarray) -> Kernel:
+    """A call that writes the full force g(x) - w2 x into out."""
+    w2 = sys.w2
+    g, w2x = _scratch(x, 2)
+    slow_at_x = bind_slow_force(sys.slow_force, x, g)
+
+    def total_force():
+        slow_at_x()
+        _multiply(w2, x, w2x)
+        _subtract(g, w2x, out)
+
+    return total_force
+
+
+def _kick_drift_kick(bind_force, inner: Kernel, h: float, q: np.ndarray, p: np.ndarray) -> Kernel:
+    """Half kick, the inner map across h (bound to q and p), half kick.
+
+    bind_force(x, out) returns a call that writes the force F(x) into out.
+    The half kick (h/2) F(q) is evaluated here, at the start state, and a
+    step's closing kick is the next step's opening kick.  That holds while
+    only the inner map moves q, so a kick-drift-kick nested in another,
+    whose kicks move only p, carries its kick across the outer steps too.
     """
-    dt = h / substeps
-    half_dt = 0.5 * dt
-    dt, half_dt = _operand(dt, q), _operand(half_dt, q)
-    kick, tmp = _scratch(q, 2)
-
-    def half_kick():
-        _multiply(w2, q, tmp)
-        _multiply(half_dt, tmp, kick)
-
-    def fast():
-        half_kick()
-        for _ in range(substeps):
-            _subtract(p, kick, p)
-            _multiply(dt, p, tmp)
-            _add(q, tmp, q)
-            half_kick()
-            _subtract(p, kick, p)
-
-    return fast
-
-
-def _splitting_kernel(force, fast: FastMap, h: float, q: np.ndarray, p: np.ndarray) -> Kernel:
-    """Half slow kick, the fast map across h (bound to q and p), half slow
-    kick; the carried half kick is (h/2) g(q)."""
     half = _operand(0.5 * h, q)
     k, f = _scratch(q, 2)
-    force_at_q = bind_slow_force(force, q, f)
-
-    def half_kick():
-        force_at_q()
-        _multiply(half, f, k)
-
-    half_kick()
+    force_at_q = bind_force(q, f)
+    force_at_q()
+    _multiply(half, f, k)
 
     def kernel():
         _add(p, k, p)
-        fast()
-        half_kick()
+        inner()
+        force_at_q()
+        _multiply(half, f, k)
         _add(p, k, p)
 
     return kernel
 
 
-def _verlet_kernel(sys: OscillatorySystem, h: float, q: np.ndarray, p: np.ndarray) -> Kernel:
-    """Kick-drift-kick on the full force.  The carried half kick is
-    (h/2)(g(q) - Omega^2 q)."""
-    w2 = sys.w2
-    h, half = _operand(h, q), _operand(0.5 * h, q)
-    k, f, tmp = _scratch(q, 3)
-    force_at_q = bind_slow_force(sys.slow_force, q, k)
+def _fast_verlet(w2: np.ndarray, h: float, substeps: int, q: np.ndarray, p: np.ndarray) -> Kernel:
+    """`substeps` Stormer-Verlet steps of the fast-only system across h.
 
-    def half_kick():
-        force_at_q()
-        _multiply(w2, q, tmp)
-        _subtract(k, tmp, f)
-        _multiply(half, f, k)
+    The stiff force is (-w2) x with -w2 negated once: its half kick is
+    exactly -(dt/2)(w2 x), and p + (-k) rounds as p - k, signed zeros too.
+    """
+    dt, neg_w2 = h / substeps, -w2
+    substep = _kick_drift_kick(
+        lambda x, out: partial(_multiply, neg_w2, x, out), _drift(dt, q, p), dt, q, p)
 
-    half_kick()
+    def fast():
+        for _ in range(substeps):
+            substep()
 
-    def kernel():
-        _add(p, k, p)
-        _multiply(h, p, tmp)
-        _add(q, tmp, q)
-        half_kick()
-        _add(p, k, p)
-
-    return kernel
+    return fast
 
 
 def _midpoint_full_kernel(
@@ -265,25 +260,18 @@ def _midpoint_full_kernel(
     carries no kick.  On NoConvergence q and p are left as they were.
 
     The iterates ping-pong between two buffers, each with its own bound
-    slow force, so no iterate is written over its predecessor.  A finite
+    total force, so no iterate is written over its predecessor.  A finite
     change <= fp_tol implies a finite iterate, and a non-finite iterate
     makes the change NaN or inf, so finiteness is checked only when the
     test fails.
     """
-    w2 = sys.w2
     h, half_h, quarter_h2, two = (_operand(c, q) for c in (h, 0.5 * h, 0.25 * h * h, 2.0))
-    ma, mb, base, f, t1, t2, diff, delta = _scratch(q, 8)
+    ma, mb, base, f, t1, diff, delta = _scratch(q, 7)
     # the max norm of the change reduces over every axis of a block too
     delta_flat = delta.reshape(-1)
     finite = np.empty(q.shape, dtype=bool)
-    force_a = bind_slow_force(sys.slow_force, ma, f)
-    force_b = bind_slow_force(sys.slow_force, mb, f)
-
-    def total_force(m, force_at_m):
-        """f - w2 m into t2."""
-        force_at_m()
-        _multiply(w2, m, t1)
-        _subtract(f, t1, t2)
+    force_a = _bind_total_force(sys, ma, f)
+    force_b = _bind_total_force(sys, mb, f)
 
     def kernel():
         _multiply(half_h, p, t1)
@@ -292,8 +280,8 @@ def _midpoint_full_kernel(
         m, force_m, m_next, force_next = ma, force_a, mb, force_b
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(fp_max_iter):
-                total_force(m, force_m)
-                _multiply(quarter_h2, t2, t1)
+                force_m()
+                _multiply(quarter_h2, f, t1)
                 _add(base, t1, m_next)
                 _subtract(m_next, m, diff)
                 _absolute(diff, delta)
@@ -305,8 +293,8 @@ def _midpoint_full_kernel(
                     break
             else:
                 raise NoConvergence(fp_max_iter)
-        total_force(m, force_m)
-        _multiply(h, t2, t1)
+        force_m()
+        _multiply(h, f, t1)
         _add(p, t1, p)
         _multiply(two, m, t1)
         _subtract(t1, q, q)
@@ -319,17 +307,17 @@ def _kernel(
     substeps: int = 1,
 ) -> Kernel:
     """The method's kernel bound to q and p; substeps is read by RESPA only."""
-    if method is Method.SV:
-        return _verlet_kernel(sys, h, q, p)
     if method is Method.MIDPOINT_FULL:
         return _midpoint_full_kernel(sys, h, FP_TOL, FP_MAX_ITER, q, p)
+    if method is Method.SV:
+        return _kick_drift_kick(partial(_bind_total_force, sys), _drift(h, q, p), h, q, p)
     if method is Method.IMEX:
-        fast = _fast_midpoint(sys.w2, h, q, p)
+        inner = _fast_midpoint(sys.w2, h, q, p)
     elif method is Method.RESPA:
-        fast = _fast_verlet(sys.w2, h, substeps, q, p)
+        inner = _fast_verlet(sys.w2, h, substeps, q, p)
     else:
-        fast = _fast_rotation(sys.omega, h, q, p)
-    return _splitting_kernel(sys.slow_force, fast, h, q, p)
+        inner = _fast_rotation(sys.omega, h, q, p)
+    return _kick_drift_kick(partial(bind_slow_force, sys.slow_force), inner, h, q, p)
 
 
 def _state_buffers(state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -78,6 +78,9 @@ class TestResonanceSweep:
             resonance_sweep(grid=-0.1)
         with pytest.raises(ValueError):
             resonance_sweep(grid=0.5, sweep_max=0.4)
+        for substeps in (2.5, float("nan")):
+            with pytest.raises(ValueError, match="substeps"):
+                resonance_sweep(substeps=substeps)
 
 
 class TestFpuExchange:

@@ -12,8 +12,11 @@ The frozen copies are earlier forms of the hot loops: the kernels that
 carried the raw slow force, the allocating fast maps, slow force and
 midpoint-full kernel that returned fresh arrays, and the resonance sweep's
 einsum loop with its per-step blow-up reset.  Their replacements perform
-the same floating-point operations on the same operands, so they are
-pinned bit for bit (np.array_equal).
+the same floating-point operations on the same operands, or their exact
+negations (RESPA's substeps kick with (-w2) q and add where the frozen
+loop multiplies by w2 and subtracts), so they are pinned bit for bit
+(np.array_equal; the kernel pins compare sign bits too, since array_equal
+takes -0.0 == 0.0).
 
 The module also keeps the one map that production no longer carries:
 Stormer-Verlet with a mass matrix (verlet_with_mass_step), against which
@@ -389,10 +392,16 @@ def _assert_pinned(sys_, force, state0, name, h, n_steps):
         want_p.append(p)
     want_q, want_p = np.array(want_q), np.array(want_p)
 
+    def assert_same(got, want):
+        # array_equal takes -0.0 == 0.0, so the signs are compared too
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     # (n - 1/2) h keeps the step count at n whatever the rounding of n h
     traj = integrate(sys_, spec, state0, state0.t + (n_steps - 0.5) * h)
     assert traj.completed and len(traj.times) == n_steps + 1
-    assert np.array_equal(traj.qs, want_q) and np.array_equal(traj.ps, want_p)
+    assert_same(traj.qs, want_q)
+    assert_same(traj.ps, want_p)
 
     s = state0
     got_q, got_p = [s.q], [s.p]
@@ -400,21 +409,28 @@ def _assert_pinned(sys_, force, state0, name, h, n_steps):
         s = public_step(s)
         got_q.append(s.q)
         got_p.append(s.p)
-    assert np.array_equal(np.array(got_q), want_q) and np.array_equal(np.array(got_p), want_p)
+    assert_same(np.array(got_q), want_q)
+    assert_same(np.array(got_p), want_p)
 
 
 @pytest.mark.parametrize("name", PINNED)
 def test_kernels_match_frozen_kernels_bit_for_bit(lattice, name):
     sys_, state0 = lattice
-    _assert_pinned(sys_, frozen_fpu_slow_force(ELL), state0, name, H, N_STEPS)
+    # the canonical start, and a rest state of signed zeros (every sign
+    # reads +0 after the first step)
+    signed_zeros = State(0.0, [0.0, -0.0] * ELL, [-0.0, 0.0] * ELL)
+    for start in (state0, signed_zeros):
+        _assert_pinned(sys_, frozen_fpu_slow_force(ELL), start, name, H, N_STEPS)
 
 
 @pytest.mark.parametrize("name", PINNED)
 def test_kernels_match_frozen_kernels_on_the_model_system(name):
-    # the d = 1 system and start of the convergence study, at its coarsest h
+    # the d = 1 system and start of the convergence study, at its coarsest h,
+    # and the rest state (+0, -0), which every method keeps at p = -0 (g(+0)
+    # is -0), so each step's rounding of zero signs is pinned
     sys_ = coupled_oscillator_build(2.0)
-    state0 = State(0.0, [1.0], [0.5])
-    _assert_pinned(sys_, frozen_model_slow_force, state0, name, 0.1, 100)
+    for state0 in (State(0.0, [1.0], [0.5]), State(0.0, [0.0], [-0.0])):
+        _assert_pinned(sys_, frozen_model_slow_force, state0, name, 0.1, 100)
 
 
 @pytest.mark.parametrize("ell", [1, 3, 1000])

@@ -229,6 +229,8 @@ class TestStepperSpec:
             {"h": float("-inf")},
             {"h": float("inf")},
             {"h": float("nan")},
+            {"h": 0.1, "substeps": 2.5},
+            {"h": 0.1, "substeps": float("nan")},
         ],
     )
     def test_invalid_knobs_rejected(self, kwargs):
