@@ -5,15 +5,12 @@ from .analysis import (
     STABILITY_TOL,
     DegenerateInput,
     StabilityReport,
-    axis_propagation_matrices,
     convergence_order,
-    imex_propagation_matrix,
     imex_stability,
     max_energy_error,
     modified_frequency,
     modified_mass,
     propagation_matrix,
-    respa_propagation_matrix,
     windowed_mean,
 )
 from .experiments import (

@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .systems import OscillatorySystem, State, bind_slow_force, stiff_energy_rows
+from .systems import OscillatorySystem, State, bind_slow_force, stiff_energies
 
 BLOWUP_NORM_CAP = 1e8
 # midpoint-full's fixed-point stopping rule: max-norm change and iteration cap
@@ -99,6 +99,14 @@ class Method(enum.Enum):
     MODIFIED_IMPULSE = "modified-impulse"
 
 
+def _check_substeps(substeps) -> None:
+    """Require RESPA's substeps to be an int >= 1, as range() takes: 2.0 and NaN fail."""
+    if not isinstance(substeps, numbers.Integral):
+        raise ValueError("substeps must be an integer")
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
+
+
 @dataclass(frozen=True)
 class StepperSpec:
     """Method, step size and, for RESPA, the substeps per step."""
@@ -112,11 +120,7 @@ class StepperSpec:
         object.__setattr__(self, "method", Method(self.method))
         if not (self.h > 0.0 and math.isfinite(self.h)):
             raise ValueError("h must be positive and finite")
-        # an int, as range() takes one: NaN, 2.5 and 2.0 are rejected
-        if not isinstance(self.substeps, numbers.Integral):
-            raise ValueError("substeps must be an integer")
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
+        _check_substeps(self.substeps)
 
 
 def _fast_midpoint(w2: np.ndarray, h: float, q: np.ndarray, p: np.ndarray) -> Kernel:
@@ -263,7 +267,9 @@ def _midpoint_full_kernel(
     total force, so no iterate is written over its predecessor.  A finite
     change <= fp_tol implies a finite iterate, and a non-finite iterate
     makes the change NaN or inf, so finiteness is checked only when the
-    test fails.
+    test fails.  A diverging iteration overflows on the way; the kernel
+    enters no np.errstate, its callers silence it (integrate once per run,
+    step_midpoint_full once per step).
     """
     h, half_h, quarter_h2, two = (_operand(c, q) for c in (h, 0.5 * h, 0.25 * h * h, 2.0))
     ma, mb, base, f, t1, diff, delta = _scratch(q, 7)
@@ -278,21 +284,20 @@ def _midpoint_full_kernel(
         _add(q, t1, base)
         np.copyto(ma, base)
         m, force_m, m_next, force_next = ma, force_a, mb, force_b
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(fp_max_iter):
-                force_m()
-                _multiply(quarter_h2, f, t1)
-                _add(base, t1, m_next)
-                _subtract(m_next, m, diff)
-                _absolute(diff, delta)
-                done = _max(delta_flat) <= fp_tol
-                if not done and not _isfinite(m_next, finite).all():
-                    raise NoConvergence(i + 1)
-                m, force_m, m_next, force_next = m_next, force_next, m, force_m
-                if done:
-                    break
-            else:
-                raise NoConvergence(fp_max_iter)
+        for i in range(fp_max_iter):
+            force_m()
+            _multiply(quarter_h2, f, t1)
+            _add(base, t1, m_next)
+            _subtract(m_next, m, diff)
+            _absolute(diff, delta)
+            done = _max(delta_flat) <= fp_tol
+            if not done and not _isfinite(m_next, finite).all():
+                raise NoConvergence(i + 1)
+            m, force_m, m_next, force_next = m_next, force_next, m, force_m
+            if done:
+                break
+        else:
+            raise NoConvergence(fp_max_iter)
         force_m()
         _multiply(h, f, t1)
         _add(p, t1, p)
@@ -365,6 +370,7 @@ def step_stormer_verlet(sys: OscillatorySystem, state: State, h: float) -> State
 def step_respa(sys: OscillatorySystem, state: State, h: float, substeps: int) -> State:
     """Impulse multiple time stepping: outer half kicks of the slow force
     around `substeps` Stormer-Verlet substeps of the fast-only system."""
+    _check_substeps(substeps)
     return _method_step(sys, Method.RESPA, state, h, substeps)
 
 
@@ -382,7 +388,8 @@ def step_midpoint_full(
     fp_max_iter: int = FP_MAX_ITER,
 ) -> State:
     """Implicit midpoint on the full potential (see _midpoint_full_kernel)."""
-    return _state_step(partial(_midpoint_full_kernel, sys, h, fp_tol, fp_max_iter), state, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _state_step(partial(_midpoint_full_kernel, sys, h, fp_tol, fp_max_iter), state, h)
 
 
 def make_stepper(sys: OscillatorySystem, spec: StepperSpec) -> Callable[[State], State]:
@@ -479,32 +486,33 @@ def integrate(
     cap2 = cap * cap
     zdot = z.dot
     status, t_blowup, cause = COMPLETED, None, None
-    for n in range(1, n_steps + 1):
-        try:
-            kernel()
-        except NoConvergence as exc:
-            z.fill(np.nan)
-            cause = str(exc)
-        else:
-            # z.z <= cap^2 bounds every component by the cap (NaN and
-            # overflow fail it); only a failing state pays for the exact test
-            if zdot(z) <= cap2 or np.abs(z).max() <= cap:
-                if n % stride == 0:
-                    qs[rows], ps[rows], steps[rows] = q, p, n
-                    rows += 1
-                continue
-            cause = "state norm cap exceeded"
-        qs[rows], ps[rows], steps[rows] = q, p, n
-        rows += 1
-        status, t_blowup = BLOWUP, t0 + n * spec.h
-        break
-
-    qs, ps = qs[:rows], ps[:rows]
+    # a diverging run may overflow before the cap test stops it
     with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_steps + 1):
+            try:
+                kernel()
+            except NoConvergence as exc:
+                z.fill(np.nan)
+                cause = str(exc)
+            else:
+                # z.z <= cap^2 bounds every component by the cap (NaN and
+                # overflow fail it); only a failing state pays for the exact test
+                if zdot(z) <= cap2 or np.abs(z).max() <= cap:
+                    if n % stride == 0:
+                        qs[rows], ps[rows], steps[rows] = q, p, n
+                        rows += 1
+                    continue
+                cause = "state norm cap exceeded"
+            qs[rows], ps[rows], steps[rows] = q, p, n
+            rows += 1
+            status, t_blowup = BLOWUP, t0 + n * spec.h
+            break
+
+        qs, ps = qs[:rows], ps[:rows]
         energies = sys.total_energy(qs, ps)
         stiff = None
         if sys.ell is not None:
-            per_spring = stiff_energy_rows(sys, qs, ps)
+            per_spring = stiff_energies(sys, qs, ps)
             stiff = np.column_stack([per_spring, per_spring.sum(axis=1)])
     return Trajectory(
         times=t0 + steps[:rows] * spec.h,

@@ -287,20 +287,16 @@ def fpu_inverse_transform(x, y) -> tuple[np.ndarray, np.ndarray]:
     return q, p
 
 
-def stiff_energies(sys: OscillatorySystem, state: State) -> tuple[np.ndarray, float]:
-    """Per-spring stiff energies I_j = (y_{1,j}^2 + omega^2 x_{1,j}^2) / 2 and their sum."""
-    if sys.ell is None:
-        raise ValueError("stiff_energies needs a lattice system")
-    per_spring = stiff_energy_rows(sys, state.q, state.p)
-    return per_spring, float(per_spring.sum())
-
-
-def stiff_energy_rows(sys: OscillatorySystem, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Per-spring stiff energies of a state or, row by row, of a block of states."""
+def stiff_energies(sys: OscillatorySystem, q, p) -> np.ndarray:
+    """Per-spring stiff energies I_j = (y_{1,j}^2 + omega^2 x_{1,j}^2) / 2 of
+    the state (q, p) or, row by row, of a block of states (shape (n, d));
+    the caller sums them."""
     ell = sys.ell
+    if ell is None:
+        raise ValueError("stiff_energies needs a lattice system")
     w = sys.omega[ell:]
-    x1 = q[..., ell:]
-    y1 = p[..., ell:]
+    x1 = np.asarray(q, dtype=float)[..., ell:]
+    y1 = np.asarray(p, dtype=float)[..., ell:]
     return 0.5 * (y1 * y1 + (w * x1) ** 2)
 
 

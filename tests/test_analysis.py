@@ -12,17 +12,15 @@ from oscint.analysis import (
     ENERGY_ERROR_CAP,
     DegenerateInput,
     convergence_order,
-    imex_propagation_matrix,
     imex_stability,
     max_energy_error,
     modified_frequency,
     modified_mass,
     propagation_matrix,
-    respa_propagation_matrix,
     windowed_mean,
 )
 from oscint.linalg import spd_factor
-from oscint.steppers import BLOWUP, COMPLETED, Trajectory, step_imex
+from oscint.steppers import BLOWUP, COMPLETED, Method, StepperSpec, Trajectory, step_imex
 from oscint.systems import State, coupled_oscillator_build
 
 STABLE_H = (1.0, 1.5, 1.9, 1.99)
@@ -30,6 +28,14 @@ UNSTABLE_H = (2.01, 2.5, 3.0)
 OMEGAS = (0.0, 1.0, 10.0, 1e3, 1e6)
 
 EPS = np.finfo(float).eps
+
+
+def imex_matrix(h, omega):
+    return propagation_matrix(StepperSpec(Method.IMEX, h), omega)
+
+
+def respa_matrix(h, omega, substeps):
+    return propagation_matrix(StepperSpec(Method.RESPA, h, substeps), omega)
 
 
 class TestModifiedFrequency:
@@ -127,7 +133,7 @@ class TestPropagationMatrices:
     def test_matrix_reproduces_linear_step(self):
         sys_ = coupled_oscillator_build(7.0)
         h = 0.3
-        p_mat = propagation_matrix(lambda s: step_imex(sys_, s, h))
+        p_mat = imex_matrix(h, 7.0)
         rng = np.random.default_rng(8)
         for _ in range(5):
             x = rng.standard_normal(2)
@@ -144,7 +150,7 @@ class TestPropagationMatrices:
         kick = np.array([[1.0, 0.0], [-0.5 * h, 1.0]])
         mid = np.array([[1.0 - a2, h], [-h * omega * omega, 1.0 - a2]]) / (1.0 + a2)
         want = kick @ mid @ kick
-        got = imex_propagation_matrix(h, omega)
+        got = imex_matrix(h, omega)
         # the production path rounds through the (1 + a^2)-scaled midpoint
         # solve, so entrywise agreement degrades with that scale
         assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + a2)
@@ -158,19 +164,19 @@ class TestPropagationMatrices:
         drift = np.array([[1.0, dt], [0.0, 1.0]])
         inner = half @ drift @ half
         want = kick @ np.linalg.matrix_power(inner, substeps) @ kick
-        got = respa_propagation_matrix(h, omega, substeps)
+        got = respa_matrix(h, omega, substeps)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_determinant_one(self):
         for h in STABLE_H + UNSTABLE_H:
             for omega in OMEGAS:
-                mat = imex_propagation_matrix(h, omega)
+                mat = imex_matrix(h, omega)
                 assert abs(np.linalg.det(mat) - 1.0) <= 1e-12
             # the impulse matrix only where its inner loop resolves the
             # stiff period: past that its entries explode and the float64
             # determinant measures cancellation, not structure
             for omega in (0.0, 1.0, 10.0):
-                mat = respa_propagation_matrix(h, omega, 100)
+                mat = respa_matrix(h, omega, 100)
                 assert abs(np.linalg.det(mat) - 1.0) <= 1e-12
 
 
@@ -194,7 +200,7 @@ class TestStability:
         # near pi is sqrt(eps)-limited, hence the 1e-8 tolerance
         for h in STABLE_H:
             for omega in OMEGAS:
-                eigs = np.linalg.eigvals(imex_propagation_matrix(h, omega))
+                eigs = np.linalg.eigvals(imex_matrix(h, omega))
                 theta = float(np.abs(np.angle(eigs[0])))
                 w_eff = math.sqrt((1.0 + omega * omega) / (1.0 + (0.5 * h * omega) ** 2))
                 assert abs(theta - 2.0 * math.asin(0.5 * h * w_eff)) <= 1e-8

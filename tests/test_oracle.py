@@ -21,7 +21,10 @@ takes -0.0 == 0.0).
 The module also keeps the one map that production no longer carries:
 Stormer-Verlet with a mass matrix (verlet_with_mass_step), against which
 the acceptance gate and test_steppers check the IMEX step's modified-mass
-reading.
+reading.  It keeps the earlier construction of the one-step matrices too,
+from public steps of two basis States (basis_state_matrices), against which
+analysis.propagation_matrix, one kernel step on a basis block, is pinned
+bit for bit.
 
 Bounds: 1e-13 (1 + |x|) componentwise over 1e3 steps at h = 0.01.  The
 lattice is chaotic, so roundoff grows along a run.  Started one ulp apart
@@ -33,7 +36,7 @@ import numpy as np
 import pytest
 
 from oscint import experiments
-from oscint.analysis import ENERGY_ERROR_CAP
+from oscint.analysis import ENERGY_ERROR_CAP, propagation_matrix
 from oscint.experiments import resonance_sweep
 from oscint.linalg import spd_factor
 from oscint.steppers import (
@@ -472,6 +475,39 @@ def test_midpoint_full_no_convergence_matches_frozen_kernel(model50):
         step_midpoint_full(model50, s0, 0.05, fp_max_iter=17)
     assert got.value.iterations == want.value.iterations
     assert s0.q[0] == 1.0 and s0.p[0] == 0.0
+
+
+def basis_state_matrices(step, d):
+    """Per-axis one-step matrices, shape (d, 2, 2), of a State -> State step
+    on d decoupled axes, from its action on the two basis States."""
+    e1 = step(State(0.0, np.ones(d), np.zeros(d)))
+    e2 = step(State(0.0, np.zeros(d), np.ones(d)))
+    return np.stack([np.stack([e1.q, e2.q], axis=-1), np.stack([e1.p, e2.p], axis=-1)], axis=-2)
+
+
+@pytest.mark.parametrize("h", [0.1, 0.0987])
+def test_propagation_matrix_matches_basis_state_steps_bit_for_bit(h):
+    # the resonance sweep's grid, omega h / pi = 0.01 .. 4.5
+    omegas = 0.01 * np.arange(1, 451) * np.pi / h
+    sys_ = coupled_oscillator_build(omegas)
+    cases = [(StepperSpec(Method.RESPA, h, k), lambda s, k=k: step_respa(sys_, s, h, k))
+             for k in (1, 100)]
+    cases += [
+        (StepperSpec(Method.IMEX, h), lambda s: step_imex(sys_, s, h)),
+        (StepperSpec(Method.SV, h), lambda s: step_stormer_verlet(sys_, s, h)),
+        (StepperSpec(Method.MODIFIED_IMPULSE, h), lambda s: step_modified_impulse(sys_, s, h)),
+    ]
+    for spec, step in cases:
+        got = propagation_matrix(spec, omegas)
+        want = basis_state_matrices(step, omegas.size)
+        assert got.shape == (450, 2, 2)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        # a scalar omega gives the (2, 2) matrix of the one-element vector
+        one = propagation_matrix(spec, omegas[7])
+        assert one.shape == (2, 2)
+        assert np.array_equal(one, propagation_matrix(spec, omegas[7:8])[0])
+        assert np.array_equal(one, got[7])
 
 
 def _sweep_errors(rows):

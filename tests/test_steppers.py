@@ -237,6 +237,14 @@ class TestStepperSpec:
         with pytest.raises(ValueError):
             StepperSpec(method=Method.IMEX, **kwargs)
 
+    @pytest.mark.parametrize("substeps", [-1, 0, 2.5])
+    def test_step_respa_rejects_invalid_substeps(self, substeps):
+        # unchecked, -1 would skip the fast flow, 0 divide by zero and 2.5
+        # fail in range()
+        sys_ = coupled_oscillator_build(2.0)
+        with pytest.raises(ValueError, match="substeps"):
+            step_respa(sys_, State(0.0, [1.0], [0.0]), 0.1, substeps)
+
     def test_make_stepper_dispatch(self, fpu_sys):
         s0 = _random_fpu_state(5)
         h = 0.02

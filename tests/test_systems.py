@@ -232,21 +232,33 @@ class TestEnergies:
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_stiff_energies_at_canonical_start(self, fpu_sys):
-        per_spring, total = stiff_energies(fpu_sys, fpu_initial_state(fpu_sys))
+        s0 = fpu_initial_state(fpu_sys)
+        per_spring = stiff_energies(fpu_sys, s0.q, s0.p)
+        total = per_spring.sum()
         assert per_spring == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
         assert total == pytest.approx(1.0, rel=1e-12)
 
     def test_stiff_energies_momentum_only(self, fpu_sys):
         p = np.zeros(6)
         p[4] = 3.0
-        per_spring, total = stiff_energies(fpu_sys, State(0.0, np.zeros(6), p))
+        per_spring = stiff_energies(fpu_sys, np.zeros(6), p)
+        total = per_spring.sum()
         assert per_spring == pytest.approx([0.0, 4.5, 0.0])
         assert total == pytest.approx(4.5)
+
+    def test_stiff_energies_of_a_block_match_its_rows_bit_for_bit(self, fpu_sys):
+        rng = np.random.default_rng(14)
+        qs = rng.standard_normal((50, 6)) * 10.0 ** rng.integers(-20, 20, size=(50, 1))
+        ps = rng.standard_normal((50, 6))
+        got = stiff_energies(fpu_sys, qs, ps)
+        assert got.shape == (50, 3)
+        want = np.array([stiff_energies(fpu_sys, q, p) for q, p in zip(qs, ps)])
+        assert np.array_equal(got, want)
 
     def test_lattice_helpers_reject_model_system(self, model50):
         state = State(0.0, [1.0], [0.0])
         with pytest.raises(ValueError):
-            stiff_energies(model50, state)
+            stiff_energies(model50, state.q, state.p)
 
 
 class TestInitialState:
