@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import spectral_radius_2x2, sym_matrix
-from .steppers import BLOWUP, Method, StepperSpec, Trajectory, _kernel
+from .steppers import BLOWUP, Method, StepperSpec, Trajectory, _kernel, _step_once
 from .systems import coupled_oscillator_build
 
 ENERGY_ERROR_CAP = 1e12
@@ -59,7 +59,7 @@ def propagation_matrix(spec: StepperSpec, omega) -> np.ndarray:
     sys = coupled_oscillator_build(omega)
     # block[0] is q and block[1] is p, each of shape (2 basis states, d)
     block = np.repeat(np.eye(2)[..., np.newaxis], sys.d, axis=-1)
-    _kernel(sys, spec.method, spec.h, *block, spec.substeps)()
+    _step_once(lambda q, p: _kernel(sys, spec.method, spec.h, q, p, spec.substeps), *block)
     mats = np.moveaxis(block, -1, 0)
     return mats if np.ndim(omega) else mats[0]
 

@@ -12,12 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import (
-    ConvergenceRow,
-    convergence_study,
-    fpu_exchange,
-    resonance_sweep,
-)
+from .experiments import ConvergenceRow, convergence_study, fpu_exchange, resonance_sweep
 from .steppers import Method, StepperSpec, Trajectory, integrate
 from .systems import FpuParams, State, coupled_oscillator_build, fpu_build, fpu_initial_state
 
@@ -79,13 +74,19 @@ def _trajectory_lines(traj: Trajectory, meta: dict) -> list[str]:
     d = traj.qs.shape[1]
     header = ["t"] + [f"q_{i}" for i in range(1, d + 1)] + [f"p_{i}" for i in range(1, d + 1)]
     header.append("H")
-    if traj.stiff is not None:
-        ell = traj.stiff.shape[1] - 1
-        header += [f"I_{j}" for j in range(1, ell + 1)] + ["I_total"]
     columns = [traj.times, traj.qs, traj.ps, traj.energies]
     if traj.stiff is not None:
-        columns.append(traj.stiff)
+        names, stiff_columns = _stiff_columns(traj.stiff)
+        header += names
+        columns += stiff_columns
     return [_meta_line(meta), ",".join(header), *_rows(columns)]
+
+
+def _stiff_columns(stiff: np.ndarray) -> tuple[list[str], list[np.ndarray]]:
+    """Header and columns of the per-spring energies I_1..I_ell, then of
+    their row sum I_total."""
+    names = [f"I_{j}" for j in range(1, stiff.shape[1] + 1)] + ["I_total"]
+    return names, [stiff, stiff.sum(axis=1)]
 
 
 def _build_system(args):
@@ -100,9 +101,7 @@ def cmd_integrate(args) -> int:
         state0 = State(0.0, [args.q0], [args.p0])
     else:
         state0 = fpu_initial_state(sys_)
-    spec = StepperSpec(
-        method=Method(args.method), h=args.h, substeps=args.substeps
-    )
+    spec = StepperSpec(method=args.method, h=args.h, substeps=args.substeps)
     traj = integrate(sys_, spec, state0, args.t_end, stride=args.stride)
     meta = {
         "command": "integrate",
@@ -167,9 +166,9 @@ def cmd_fpu_exchange(args) -> int:
     }
     if args.reference_h is not None:
         meta["reference_h"] = args.reference_h
-    ell = traj.stiff.shape[1] - 1
-    header = ["t"] + [f"I_{j}" for j in range(1, ell + 1)] + ["I_total", "H"]
-    lines = [_meta_line(meta), ",".join(header), *_rows([traj.times, traj.stiff, traj.energies])]
+    names, stiff_columns = _stiff_columns(traj.stiff)
+    header = ",".join(["t", *names, "H"])
+    lines = [_meta_line(meta), header, *_rows([traj.times, *stiff_columns, traj.energies])]
     if result.sup_diffs is not None:
         pairs = " ".join(f"I_{j + 1}={_fmt(float(v))}" for j, v in enumerate(result.sup_diffs))
         lines.append(f"# windowed_sup_diff {pairs} window={_fmt(args.window)}")
@@ -178,11 +177,8 @@ def cmd_fpu_exchange(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    if args.method is None:
-        methods = (Method.SV, Method.IMEX, Method.MIDPOINT_FULL)
-    else:
-        methods = (Method(args.method),)
-    rows = convergence_study(methods=methods, h=args.h, t_end=args.t_end, omega=args.omega)
+    methods = {} if args.method is None else {"methods": (Method(args.method),)}
+    rows = convergence_study(h=args.h, t_end=args.t_end, omega=args.omega, **methods)
     ok = True
     for row in rows:
         ok &= _print_convergence_row(row)

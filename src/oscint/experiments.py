@@ -11,13 +11,7 @@ import numpy as np
 
 from .analysis import ENERGY_ERROR_CAP, convergence_order, propagation_matrix, windowed_mean
 from .steppers import Method, StepperSpec, Trajectory, integrate, step_count
-from .systems import (
-    FpuParams,
-    State,
-    coupled_oscillator_build,
-    fpu_build,
-    fpu_initial_state,
-)
+from .systems import FpuParams, State, coupled_oscillator_build, fpu_build, fpu_initial_state
 
 # Sweep initial condition: displacement 1/sqrt(1 + omega^2), zero momentum.
 # The model spring constant is 1 + omega^2, so this puts the same energy 1/2
@@ -161,7 +155,7 @@ def windowed_stiff_diffs(traj: Trajectory, ref: Trajectory, window: float) -> np
     """
     if traj.stiff is None or ref.stiff is None:
         raise ValueError("both runs must carry stiff energies")
-    n_springs = traj.stiff.shape[1] - 1
+    n_springs = traj.stiff.shape[1]
     out = np.empty(n_springs)
     for j in range(n_springs):
         wm = windowed_mean(traj.times, traj.stiff[:, j], window)

@@ -18,9 +18,11 @@ force is a SlowForce.  A kick-drift-kick carries its half kick, (h/2) F(q),
 from the end of one step to the start of the next, so a run of n steps
 evaluates the slow force n + 1 times.  _kernel is the one map from a
 method to its kernel.  integrate holds the state in one buffer
-z = [q | p] and records copies of it; the public step_* functions copy
-their input state into fresh buffers, bind, step once and return a fresh
-State.
+z = [q | p] and records copies of it into one sample block.  Every single
+step outside integrate (the public step_* functions, make_stepper,
+analysis.propagation_matrix) goes through _step_once, which binds the
+kernel, steps it once and silences the overflow of a diverging
+midpoint-full iteration, as integrate does for a whole run.
 
 On a short state a numpy call costs far more than its arithmetic, so the
 per-step calls are written lean: each ufunc is looked up once, through a
@@ -32,14 +34,13 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .systems import OscillatorySystem, State, bind_slow_force, stiff_energies
+from .systems import OscillatorySystem, State, _check_count, bind_slow_force, stiff_energies
 
 BLOWUP_NORM_CAP = 1e8
 # midpoint-full's fixed-point stopping rule: max-norm change and iteration cap
@@ -99,14 +100,6 @@ class Method(enum.Enum):
     MODIFIED_IMPULSE = "modified-impulse"
 
 
-def _check_substeps(substeps) -> None:
-    """Require RESPA's substeps to be an int >= 1, as range() takes: 2.0 and NaN fail."""
-    if not isinstance(substeps, numbers.Integral):
-        raise ValueError("substeps must be an integer")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-
-
 @dataclass(frozen=True)
 class StepperSpec:
     """Method, step size and, for RESPA, the substeps per step."""
@@ -120,7 +113,7 @@ class StepperSpec:
         object.__setattr__(self, "method", Method(self.method))
         if not (self.h > 0.0 and math.isfinite(self.h)):
             raise ValueError("h must be positive and finite")
-        _check_substeps(self.substeps)
+        _check_count("substeps", self.substeps)
 
 
 def _fast_midpoint(w2: np.ndarray, h: float, q: np.ndarray, p: np.ndarray) -> Kernel:
@@ -251,25 +244,23 @@ def _fast_verlet(w2: np.ndarray, h: float, substeps: int, q: np.ndarray, p: np.n
     return fast
 
 
-def _midpoint_full_kernel(
-    sys: OscillatorySystem, h: float, fp_tol: float, fp_max_iter: int,
-    q: np.ndarray, p: np.ndarray,
-) -> Kernel:
+def _midpoint_full_kernel(sys: OscillatorySystem, h: float, q: np.ndarray, p: np.ndarray) -> Kernel:
     """Implicit midpoint on the full potential, solved by fixed-point iteration.
 
     Iterates on the interval midpoint m = q + (h/2) p + (h^2/4) f(m) with
-    f = g - Omega^2 q until successive iterates differ by <= fp_tol in the
-    max norm.  Contracts only while (h^2/4) Lip(f) < 1, so this is a
-    small-step baseline.  It evaluates the slow force at midpoints only and
-    carries no kick.  On NoConvergence q and p are left as they were.
+    f = g - Omega^2 q until successive iterates differ by <= FP_TOL in the
+    max norm, for at most FP_MAX_ITER iterations.  Contracts only while
+    (h^2/4) Lip(f) < 1, so this is a small-step baseline.  It evaluates
+    the slow force at midpoints only and carries no kick.  On NoConvergence
+    q and p are left as they were.
 
     The iterates ping-pong between two buffers, each with its own bound
     total force, so no iterate is written over its predecessor.  A finite
-    change <= fp_tol implies a finite iterate, and a non-finite iterate
+    change <= FP_TOL implies a finite iterate, and a non-finite iterate
     makes the change NaN or inf, so finiteness is checked only when the
     test fails.  A diverging iteration overflows on the way; the kernel
     enters no np.errstate, its callers silence it (integrate once per run,
-    step_midpoint_full once per step).
+    _step_once once per step).
     """
     h, half_h, quarter_h2, two = (_operand(c, q) for c in (h, 0.5 * h, 0.25 * h * h, 2.0))
     ma, mb, base, f, t1, diff, delta = _scratch(q, 7)
@@ -284,20 +275,20 @@ def _midpoint_full_kernel(
         _add(q, t1, base)
         np.copyto(ma, base)
         m, force_m, m_next, force_next = ma, force_a, mb, force_b
-        for i in range(fp_max_iter):
+        for i in range(FP_MAX_ITER):
             force_m()
             _multiply(quarter_h2, f, t1)
             _add(base, t1, m_next)
             _subtract(m_next, m, diff)
             _absolute(diff, delta)
-            done = _max(delta_flat) <= fp_tol
+            done = _max(delta_flat) <= FP_TOL
             if not done and not _isfinite(m_next, finite).all():
                 raise NoConvergence(i + 1)
             m, force_m, m_next, force_next = m_next, force_next, m, force_m
             if done:
                 break
         else:
-            raise NoConvergence(fp_max_iter)
+            raise NoConvergence(FP_MAX_ITER)
         force_m()
         _multiply(h, f, t1)
         _add(p, t1, p)
@@ -313,7 +304,7 @@ def _kernel(
 ) -> Kernel:
     """The method's kernel bound to q and p; substeps is read by RESPA only."""
     if method is Method.MIDPOINT_FULL:
-        return _midpoint_full_kernel(sys, h, FP_TOL, FP_MAX_ITER, q, p)
+        return _midpoint_full_kernel(sys, h, q, p)
     if method is Method.SV:
         return _kick_drift_kick(partial(_bind_total_force, sys), _drift(h, q, p), h, q, p)
     if method is Method.IMEX:
@@ -333,18 +324,24 @@ def _state_buffers(state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return z, z[:d], z[d:]
 
 
+def _step_once(
+    bind: Callable[[np.ndarray, np.ndarray], Kernel], q: np.ndarray, p: np.ndarray
+) -> None:
+    """Advance q and p in place by one step of the kernel bind(q, p) makes.
+
+    A diverging midpoint-full iteration may overflow before it raises
+    NoConvergence; that is silenced here, once per step, as integrate
+    silences it once per run.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        bind(q, p)()
+
+
 def _state_step(bind: Callable[[np.ndarray, np.ndarray], Kernel], state: State, h: float) -> State:
-    """One step of the kernel bind(q, p) makes, on a copy of the state."""
+    """One step of bind(q, p)'s kernel on a copy of the state; h may be negative."""
     _, q, p = _state_buffers(state)
-    bind(q, p)()
+    _step_once(bind, q, p)
     return State(state.t + h, q, p)
-
-
-def _method_step(
-    sys: OscillatorySystem, method: Method, state: State, h: float, substeps: int = 1
-) -> State:
-    """One step of the method's kernel on a copy of the state; h may be negative."""
-    return _state_step(lambda q, p: _kernel(sys, method, h, q, p, substeps), state, h)
 
 
 def kick_slow(sys: OscillatorySystem, state: State, dt: float) -> State:
@@ -359,51 +356,47 @@ def step_midpoint_fast(sys: OscillatorySystem, state: State, h: float) -> State:
 
 def step_imex(sys: OscillatorySystem, state: State, h: float) -> State:
     """Half slow kick, implicit midpoint on the fast part, half slow kick."""
-    return _method_step(sys, Method.IMEX, state, h)
+    return _state_step(partial(_kernel, sys, Method.IMEX, h), state, h)
 
 
 def step_stormer_verlet(sys: OscillatorySystem, state: State, h: float) -> State:
     """Kick-drift-kick on the full force."""
-    return _method_step(sys, Method.SV, state, h)
+    return _state_step(partial(_kernel, sys, Method.SV, h), state, h)
 
 
 def step_respa(sys: OscillatorySystem, state: State, h: float, substeps: int) -> State:
     """Impulse multiple time stepping: outer half kicks of the slow force
     around `substeps` Stormer-Verlet substeps of the fast-only system."""
-    _check_substeps(substeps)
-    return _method_step(sys, Method.RESPA, state, h, substeps)
+    _check_count("substeps", substeps)
+    return _state_step(partial(_kernel, sys, Method.RESPA, h, substeps=substeps), state, h)
 
 
 def step_modified_impulse(sys: OscillatorySystem, state: State, h: float) -> State:
     """Impulse method whose fast step rotates each axis by its modified
     frequency (see _fast_rotation)."""
-    return _method_step(sys, Method.MODIFIED_IMPULSE, state, h)
+    return _state_step(partial(_kernel, sys, Method.MODIFIED_IMPULSE, h), state, h)
 
 
-def step_midpoint_full(
-    sys: OscillatorySystem,
-    state: State,
-    h: float,
-    fp_tol: float = FP_TOL,
-    fp_max_iter: int = FP_MAX_ITER,
-) -> State:
+def step_midpoint_full(sys: OscillatorySystem, state: State, h: float) -> State:
     """Implicit midpoint on the full potential (see _midpoint_full_kernel)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _state_step(partial(_midpoint_full_kernel, sys, h, fp_tol, fp_max_iter), state, h)
+    return _state_step(partial(_kernel, sys, Method.MIDPOINT_FULL, h), state, h)
 
 
 def make_stepper(sys: OscillatorySystem, spec: StepperSpec) -> Callable[[State], State]:
     """Bind a spec to a system as a State -> State map."""
-    return lambda s: _method_step(sys, spec.method, s, spec.h, spec.substeps)
+    bind = partial(_kernel, sys, spec.method, spec.h, substeps=spec.substeps)
+    return lambda s: _state_step(bind, s, spec.h)
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded samples of a run plus its outcome.
 
-    Samples sit at integer step multiples of the recording stride; stiff
-    per-spring energies are carried for lattice systems (columns I_1..I_ell
-    followed by their sum).  final_state is the last computed state even
+    Samples sit at integer step multiples of the recording stride.  qs and
+    ps are the column views of one (rows, 2d) block of recorded states
+    [q | p].  stiff carries, for lattice systems, the per-spring stiff
+    energies I_1..I_ell of each sample (stiff_energies); a reader wanting
+    their total sums the row.  final_state is the last computed state even
     when the stride did not record it.
     """
 
@@ -466,20 +459,21 @@ def integrate(
     state0 in place; samples and final_state are copies.  Energies are
     evaluated once, over the recorded block.
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    _check_count("stride", stride)
     t0 = state0.t
     n_steps = step_count(spec, t0, t_end)
+    d = sys.d
+    if state0.q.size != d:
+        raise ValueError(f"the initial state has length {state0.q.size}, the system d={d}")
     if not (np.isfinite(state0.q).all() and np.isfinite(state0.p).all()):
         raise ValueError("the initial state must be finite")
     z, q, p = _state_buffers(state0)
     kernel = _kernel(sys, spec.method, spec.h, q, p, spec.substeps)
     # the start, every stride-th state, and a possible blow-up sample
     n_rows = n_steps // stride + 2
-    qs = np.empty((n_rows, sys.d))
-    ps = np.empty((n_rows, sys.d))
+    zs = np.empty((n_rows, 2 * d))
     steps = np.empty(n_rows, dtype=np.int64)
-    qs[0], ps[0], steps[0] = q, p, 0
+    zs[0], steps[0] = z, 0
     rows = 1
     n = 0
     cap = BLOWUP_NORM_CAP
@@ -499,21 +493,18 @@ def integrate(
                 # overflow fail it); only a failing state pays for the exact test
                 if zdot(z) <= cap2 or np.abs(z).max() <= cap:
                     if n % stride == 0:
-                        qs[rows], ps[rows], steps[rows] = q, p, n
+                        zs[rows], steps[rows] = z, n
                         rows += 1
                     continue
                 cause = "state norm cap exceeded"
-            qs[rows], ps[rows], steps[rows] = q, p, n
+            zs[rows], steps[rows] = z, n
             rows += 1
             status, t_blowup = BLOWUP, t0 + n * spec.h
             break
 
-        qs, ps = qs[:rows], ps[:rows]
+        qs, ps = zs[:rows, :d], zs[:rows, d:]
         energies = sys.total_energy(qs, ps)
-        stiff = None
-        if sys.ell is not None:
-            per_spring = stiff_energies(sys, qs, ps)
-            stiff = np.column_stack([per_spring, per_spring.sum(axis=1)])
+        stiff = None if sys.ell is None else stiff_energies(sys, qs, ps)
     return Trajectory(
         times=t0 + steps[:rows] * spec.h,
         qs=qs,

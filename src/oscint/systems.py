@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,6 +34,15 @@ _add, _subtract, _negative, _power = np.add, np.subtract, np.negative, np.power
 # checked before anything is allocated.  One IMEX step costs ~11 ms at
 # ell = 1e5 and grows linearly in ell, so this is ~0.1 s per step.
 MAX_ELL = 10 ** 6
+
+
+def _check_count(name: str, value) -> None:
+    """Require a count (a stride, RESPA's substeps, a lattice size) to be an
+    int >= 1, as range() takes: 2.0, 2.5 and NaN fail."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,8 +121,7 @@ class FpuParams:
     omega: float
 
     def __post_init__(self):
-        if self.ell < 1:
-            raise ValueError("ell must be >= 1")
+        _check_count("ell", self.ell)
         if self.ell > MAX_ELL:
             raise ValueError(f"ell={self.ell} takes more than {MAX_ELL:.0e} stiff springs")
         if not self.omega > 0.0:
@@ -264,11 +273,13 @@ def fpu_transform(q, p) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(p, dtype=float)
     if q.ndim != 1 or q.shape != p.shape or q.size % 2:
         raise ValueError("expected equal-length even-dimensional q and p")
-    even, odd = q[0::2], q[1::2]
-    x = np.concatenate([(odd + even) / _SQRT2, (odd - even) / _SQRT2])
-    even, odd = p[0::2], p[1::2]
-    y = np.concatenate([(odd + even) / _SQRT2, (odd - even) / _SQRT2])
-    return x, y
+    return _butterfly(q), _butterfly(p)
+
+
+def _butterfly(v: np.ndarray) -> np.ndarray:
+    """One vector per-mass -> averaged/extension (see fpu_transform)."""
+    even, odd = v[0::2], v[1::2]
+    return np.concatenate([(odd + even) / _SQRT2, (odd - even) / _SQRT2])
 
 
 def fpu_inverse_transform(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -277,14 +288,13 @@ def fpu_inverse_transform(x, y) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape or x.size % 2:
         raise ValueError("expected equal-length even-dimensional x and y")
-    ell = x.size // 2
-    q = np.empty(2 * ell)
-    q[0::2] = (x[:ell] - x[ell:]) / _SQRT2
-    q[1::2] = (x[:ell] + x[ell:]) / _SQRT2
-    p = np.empty(2 * ell)
-    p[0::2] = (y[:ell] - y[ell:]) / _SQRT2
-    p[1::2] = (y[:ell] + y[ell:]) / _SQRT2
-    return q, p
+    return _inverse_butterfly(x), _inverse_butterfly(y)
+
+
+def _inverse_butterfly(v: np.ndarray) -> np.ndarray:
+    """One vector averaged/extension -> per-mass, masses 2i-1 and 2i interleaved."""
+    x0, x1 = np.split(v, 2)
+    return np.column_stack([(x0 - x1) / _SQRT2, (x0 + x1) / _SQRT2]).ravel()
 
 
 def stiff_energies(sys: OscillatorySystem, q, p) -> np.ndarray:

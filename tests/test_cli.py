@@ -63,6 +63,9 @@ class TestIntegrate:
         _, header, rows = read_csv(out)
         assert header[-5:] == ["H", "I_1", "I_2", "I_3", "I_total"]
         assert float(rows[0].split(",")[-1]) == pytest.approx(1.0, rel=1e-12)
+        # I_total is the writer's row sum of the per-spring columns
+        block = np.array([[float(v) for v in row.split(",")[-4:]] for row in rows])
+        assert block[:, 3] == pytest.approx(block[:, :3].sum(axis=1), rel=1e-12)
 
     def test_blowup_exit_code(self, tmp_path):
         out = tmp_path / "unstable.csv"

@@ -92,6 +92,10 @@ class TestFpuExchange:
         assert np.all(result.sup_diffs >= 0.0)
         assert result.window == 1.0
 
+    def test_non_integer_stride_rejected(self):
+        with pytest.raises(ValueError, match="stride must be an integer"):
+            fpu_exchange(h=0.1, t_end=1.0, stride=2.5)
+
     def test_no_reference_no_diffs(self):
         result = fpu_exchange(h=0.1, t_end=2.0)
         assert result.reference is None
@@ -103,7 +107,7 @@ class TestFpuExchange:
 
     def test_initial_stiff_energy_normalized(self):
         result = fpu_exchange(h=0.1, t_end=1.0)
-        assert result.trajectory.stiff[0, 3] == pytest.approx(1.0, rel=1e-12)
+        assert result.trajectory.stiff.sum(axis=1)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_identical_runs_have_zero_diff(self, exchange_traj_h01):
         diffs = windowed_stiff_diffs(exchange_traj_h01, exchange_traj_h01, 1.0)

@@ -3,6 +3,7 @@ discrete Euler-Lagrange / Legendre machinery."""
 import numpy as np
 import pytest
 
+from oscint import steppers
 from oscint.analysis import modified_mass
 from oscint.lagrangians import (
     DiscreteLagrangian,
@@ -144,11 +145,12 @@ class TestLegendreConsistency:
         assert np.max(np.abs(legendre_minus(ld, s0.q, s1.q) - s0.p)) <= 1e-10
         assert np.max(np.abs(legendre_plus(ld, s0.q, s1.q) - s1.p)) <= 1e-10
 
-    def test_midpoint_quadrature_matches_implicit_midpoint(self, fpu_sys, fpu_state0):
+    def test_midpoint_quadrature_matches_implicit_midpoint(self, fpu_sys, fpu_state0, monkeypatch):
         h = 0.005
         ld = DiscreteLagrangian(fpu_sys, h, Quadrature.MIDPOINT)
         s0 = fpu_state0
-        s1 = step_midpoint_full(fpu_sys, s0, h, fp_tol=1e-14)
+        monkeypatch.setattr(steppers, "FP_TOL", 1e-14)
+        s1 = step_midpoint_full(fpu_sys, s0, h)
         # limited by the fixed-point tolerance, not by the formulas
         assert np.max(np.abs(legendre_minus(ld, s0.q, s1.q) - s0.p)) <= 1e-8
         assert np.max(np.abs(legendre_plus(ld, s0.q, s1.q) - s1.p)) <= 1e-8

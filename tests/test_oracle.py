@@ -35,7 +35,7 @@ h = 0.03, where a 1e-13 bound could not tell a correct map from a wrong one.
 import numpy as np
 import pytest
 
-from oscint import experiments
+from oscint import experiments, steppers
 from oscint.analysis import ENERGY_ERROR_CAP, propagation_matrix
 from oscint.experiments import resonance_sweep
 from oscint.linalg import spd_factor
@@ -464,15 +464,16 @@ def test_bound_fpu_force_matches_frozen_force_bit_for_bit(ell):
         assert np.array_equal(out, want_force(x))
 
 
-def test_midpoint_full_no_convergence_matches_frozen_kernel(model50):
+def test_midpoint_full_no_convergence_matches_frozen_kernel(model50, monkeypatch):
     # past its contraction limit the iteration fails after the same
     # number of iterations, and the step leaves its input untouched
     frozen = frozen_midpoint_full_kernel(frozen_model_slow_force, model50.w2, 0.05, 1e-12, 17)
     s0 = State(0.0, [1.0], [0.0])
     with pytest.raises(NoConvergence) as want:
         frozen(s0.q, s0.p, None)
+    monkeypatch.setattr(steppers, "FP_MAX_ITER", 17)
     with pytest.raises(NoConvergence) as got:
-        step_midpoint_full(model50, s0, 0.05, fp_max_iter=17)
+        step_midpoint_full(model50, s0, 0.05)
     assert got.value.iterations == want.value.iterations
     assert s0.q[0] == 1.0 and s0.p[0] == 0.0
 

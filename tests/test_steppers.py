@@ -1,11 +1,13 @@
 """Unit tests for the one-step maps and the trajectory driver."""
 import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from oscint.analysis import modified_mass
+from oscint import steppers
+from oscint.analysis import modified_mass, propagation_matrix
 from oscint.steppers import (
     BLOWUP,
     COMPLETED,
@@ -31,6 +33,7 @@ from oscint.systems import (
     coupled_oscillator_build,
     fpu_build,
     fpu_initial_state,
+    stiff_energies,
 )
 from test_oracle import verlet_with_mass_step
 
@@ -127,7 +130,7 @@ class TestStepEquivalences:
         assert np.max(np.abs(a.q - b.q)) <= 1e-13 * (1.0 + np.max(np.abs(b.q)))
         assert np.max(np.abs(a.p - b.p)) <= 1e-13 * (1.0 + np.max(np.abs(b.p)))
 
-    def test_all_methods_coincide_without_fast_part(self):
+    def test_all_methods_coincide_without_fast_part(self, monkeypatch):
         # Omega = 0 collapses every splitting scheme to plain Verlet on the
         # slow force
         sys_ = coupled_oscillator_build(0.0)
@@ -143,7 +146,8 @@ class TestStepEquivalences:
             assert got.p == pytest.approx(want.p, rel=1e-12, abs=1e-14)
         # the fully implicit midpoint is a different map (O(h^3) from
         # Verlet); on the remaining unit spring it has a closed form
-        mid = step_midpoint_full(sys_, s0, h, fp_tol=1e-14)
+        monkeypatch.setattr(steppers, "FP_TOL", 1e-14)
+        mid = step_midpoint_full(sys_, s0, h)
         denom = 1.0 + 0.25 * h * h
         q_mid = ((1.0 - 0.25 * h * h) * s0.q[0] + h * s0.p[0]) / denom
         p_mid = ((1.0 - 0.25 * h * h) * s0.p[0] - h * s0.q[0]) / denom
@@ -152,10 +156,11 @@ class TestStepEquivalences:
 
 
 class TestMidpointFull:
-    def test_quadratic_potential_matches_direct_solve(self):
+    def test_quadratic_potential_matches_direct_solve(self, monkeypatch):
         sys_ = _fast_only_system(1, 50.0)
         s0 = State(0.0, [1.0], [0.3])
-        a = step_midpoint_full(sys_, s0, 0.01, fp_tol=1e-14)
+        monkeypatch.setattr(steppers, "FP_TOL", 1e-14)
+        a = step_midpoint_full(sys_, s0, 0.01)
         b = step_midpoint_fast(sys_, s0, 0.01)
         assert np.max(np.abs(a.q - b.q)) <= 1e-12
         assert np.max(np.abs(a.p - b.p)) <= 1e-10
@@ -166,9 +171,11 @@ class TestMidpointFull:
         assert s.q == pytest.approx([1.0, 1.0])
         assert s.p == pytest.approx([0.0, 2.0])
 
-    def test_converges_quickly_on_lattice(self, fpu_sys, fpu_state0):
+    def test_converges_quickly_on_lattice(self, fpu_sys, fpu_state0, monkeypatch):
         # contraction factor (h^2/4)*||hessian|| ~ 0.06 at h=0.01
-        s = step_midpoint_full(fpu_sys, fpu_state0, 0.01, fp_tol=1e-12, fp_max_iter=50)
+        monkeypatch.setattr(steppers, "FP_TOL", 1e-12)
+        monkeypatch.setattr(steppers, "FP_MAX_ITER", 50)
+        s = step_midpoint_full(fpu_sys, fpu_state0, 0.01)
         assert np.all(np.isfinite(s.q))
 
     def test_no_convergence_past_contraction_limit(self, model50):
@@ -176,13 +183,31 @@ class TestMidpointFull:
         with pytest.raises(NoConvergence):
             step_midpoint_full(model50, State(0.0, [1.0], [0.0]), 0.05)
 
-    def test_no_convergence_reports_iterations(self, model50):
+    def test_no_convergence_reports_iterations(self, model50, monkeypatch):
+        monkeypatch.setattr(steppers, "FP_MAX_ITER", 17)
         try:
-            step_midpoint_full(model50, State(0.0, [1.0], [0.0]), 0.05, fp_max_iter=17)
+            step_midpoint_full(model50, State(0.0, [1.0], [0.0]), 0.05)
         except NoConvergence as exc:
             assert exc.iterations <= 17
         else:
             pytest.fail("expected NoConvergence")
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda sys_, s0: step_midpoint_full(sys_, s0, 0.5),
+            lambda sys_, s0: make_stepper(sys_, StepperSpec(Method.MIDPOINT_FULL, 0.5))(s0),
+            lambda sys_, s0: propagation_matrix(StepperSpec("midpoint-full", 0.5), 50.0),
+        ],
+        ids=["step_midpoint_full", "make_stepper", "propagation_matrix"],
+    )
+    def test_single_step_no_convergence_warns_nothing(self, model50, run):
+        # at h*omega = 25 the iteration overflows before it gives up; a
+        # single step silences that as integrate does, and only raises
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence):
+                run(model50, State(0.0, [1.0], [0.0]))
 
 
 class TestSymmetry:
@@ -203,10 +228,11 @@ class TestSymmetry:
         assert np.max(np.abs(back.q - s0.q)) <= 1e-12
         assert np.max(np.abs(back.p - s0.p)) <= 1e-12
 
-    def test_midpoint_full_backward_step(self, fpu_sys):
+    def test_midpoint_full_backward_step(self, fpu_sys, monkeypatch):
         s0 = _random_fpu_state(4)
-        s = step_midpoint_full(fpu_sys, s0, 0.01, fp_tol=1e-14)
-        back = step_midpoint_full(fpu_sys, s, -0.01, fp_tol=1e-14)
+        monkeypatch.setattr(steppers, "FP_TOL", 1e-14)
+        s = step_midpoint_full(fpu_sys, s0, 0.01)
+        back = step_midpoint_full(fpu_sys, s, -0.01)
         assert np.max(np.abs(back.q - s0.q)) <= 1e-10
         assert np.max(np.abs(back.p - s0.p)) <= 1e-10
 
@@ -287,9 +313,9 @@ class TestIntegrate:
     def test_lattice_stiff_columns(self, fpu_sys, fpu_state0):
         spec = StepperSpec(method=Method.IMEX, h=0.1)
         traj = integrate(fpu_sys, spec, fpu_state0, 2.0)
-        assert traj.stiff.shape == (len(traj.times), 4)
-        assert traj.stiff[:, 3] == pytest.approx(traj.stiff[:, :3].sum(axis=1), rel=1e-12)
-        assert traj.stiff[0, 3] == pytest.approx(1.0, rel=1e-12)
+        assert traj.stiff.shape == (len(traj.times), 3)
+        assert np.array_equal(traj.stiff, stiff_energies(fpu_sys, traj.qs, traj.ps))
+        assert traj.stiff.sum(axis=1)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_blowup_detection(self, model50):
         # Verlet at h*nu > 2 on the model problem diverges immediately
@@ -327,6 +353,8 @@ class TestIntegrate:
         s = traj.state(2)
         s.q[0] = 1e9
         assert traj.qs[2][0] != 1e9
+        # qs and ps are the column views of one sample block
+        assert traj.qs.base is traj.ps.base
 
     def test_invalid_arguments(self, model50):
         spec = StepperSpec(method=Method.SV, h=0.1)
@@ -334,6 +362,18 @@ class TestIntegrate:
             integrate(model50, spec, State(0.0, [1.0], [0.0]), 1.0, stride=0)
         with pytest.raises(ValueError):
             integrate(model50, spec, State(2.0, [1.0], [0.0]), 1.0)
+
+    @pytest.mark.parametrize("stride", [2.5, float("nan")])
+    def test_non_integer_stride_rejected(self, model50, stride):
+        spec = StepperSpec(method=Method.SV, h=0.1)
+        with pytest.raises(ValueError, match="stride must be an integer"):
+            integrate(model50, spec, State(0.0, [1.0], [0.0]), 1.0, stride=stride)
+
+    def test_start_state_must_match_system(self, fpu_sys):
+        # a model state on the ell=3 lattice
+        spec = StepperSpec(method=Method.IMEX, h=0.1)
+        with pytest.raises(ValueError, match="length 1, the system d=6"):
+            integrate(fpu_sys, spec, State(0.0, [1.0], [0.0]), 1.0)
 
     @pytest.mark.parametrize(
         "t_end, q0",

@@ -154,6 +154,11 @@ class TestFpuBuild:
         with pytest.raises(ValueError):
             FpuParams(ell=3, omega=0.0)
 
+    @pytest.mark.parametrize("ell", [2.5, float("nan")])
+    def test_non_integer_ell_rejected(self, ell):
+        with pytest.raises(ValueError, match="ell must be an integer"):
+            FpuParams(ell=ell, omega=50.0)
+
 
 class TestTransform:
     def test_zero(self):
