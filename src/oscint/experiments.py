@@ -4,6 +4,7 @@ These produce plain data objects; CSV serialization lives in the CLI.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,8 +29,13 @@ SWEEP_AMPLITUDE = 1.0
 # defaults take 9.2e6.  Checked before anything is allocated.
 MAX_SWEEP_ROW_STEPS = 10 ** 9
 
-# the ufuncs of the sweep's per-step calls
+# Steps per block of the sweep loop: the states of K steps are written into
+# one (K + 1, n) block, and their energies evaluated by one call per term.
+SWEEP_BLOCK = 16
+
+# the ufuncs of the sweep's per-step and per-block calls
 _add, _subtract, _multiply, _absolute, _fmax = np.add, np.subtract, np.multiply, np.absolute, np.fmax
+_fmax_reduce, _copyto = np.fmax.reduce, np.copyto
 
 
 @dataclass(frozen=True)
@@ -52,9 +58,22 @@ def _linear_max_energy_errors(
     The model problem is linear, so iterating the one-step matrix of the
     production stepper reproduces its trajectory; energy is evaluated at
     every step.  Each step is x1 = a x0 + b y0, y1 = c x0 + d y0 on the four
-    coefficient vectors of `mats`, and H = 0.5 y^2 + (0.5 spring) x^2, all
-    into preallocated buffers, with the steppers' lean calls: ufuncs looked
-    up once, outputs passed positionally, the factor 0.5 as an array.
+    coefficient vectors of `mats`, six calls into preallocated rows, with the
+    steppers' lean calls: ufuncs looked up once, outputs passed positionally.
+
+    The energies are evaluated per block of K = SWEEP_BLOCK steps: the steps
+    of a block write their states into rows 1..K of (K + 1, n) blocks x and
+    y, whose row 0 holds the state the block starts from.  Once per block,
+    |H - H0| = |(y y) 0.5 + (x x)(0.5 spring) - H0| is evaluated over rows
+    1..K, err = fmax(err, fmax.reduce(rows)), and the last row becomes the
+    next block's row 0; the last block may be shorter.  Each element goes
+    through the same operations on the same operands in the same order as
+    when the energy was evaluated after every step (0.5 spring and H0
+    broadcast over the rows, which rounds nothing).  fmax returns one of its
+    operands and skips a NaN, so the maximum it takes over the block and then
+    against err is exact, reads the same in any order, and skips NaN
+    energies as the per-step fmax did: the errors are bit-identical
+    (tests/test_oracle.py pins them against the per-step loop).
 
     Errors are capped at ENERGY_ERROR_CAP, and a diverging row reads the cap
     with no per-step test or reset.  From a finite state the energy, a sum
@@ -70,31 +89,43 @@ def _linear_max_energy_errors(
     n = mats.shape[0]
     a, b = mats[:, 0, 0].copy(), mats[:, 0, 1].copy()
     c, d = mats[:, 1, 0].copy(), mats[:, 1, 1].copy()
-    x0, y0 = np.empty(n), np.empty(n)
-    x0[:], y0[:] = q0, p0
+    k = SWEEP_BLOCK
+    xs, ys = np.empty((k + 1, n)), np.empty((k + 1, n))
+    xs[0], ys[0] = q0, p0
     half_spring = 0.5 * spring
-    h0 = 0.5 * y0 ** 2 + half_spring * x0 ** 2
-    err = np.zeros(n)
-    x1, y1, tmp, energy = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-    half = np.full(n, 0.5)
+    h0 = 0.5 * ys[0] ** 2 + half_spring * xs[0] ** 2
+    err, block_max, tmp = np.zeros(n), np.empty(n), np.empty(n)
+    energy, term = np.empty((k, n)), np.empty((k, n))
+    # (x0, y0, x1, y1) row views of each step of a block
+    steps = list(zip(xs[:-1], ys[:-1], xs[1:], ys[1:]))
+
+    def block(size):
+        """The views one block of `size` steps runs on."""
+        return (steps[:size], xs[1:size + 1], ys[1:size + 1], energy[:size], term[:size],
+                xs[size], ys[size])
+
+    full, last = divmod(n_steps, k)
+    blocks = itertools.chain(itertools.repeat(block(k), full), [block(last)] if last else [])
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_steps):
-            _multiply(a, x0, x1)
-            _multiply(b, y0, tmp)
-            _add(x1, tmp, x1)
-            _multiply(c, x0, y1)
-            _multiply(d, y0, tmp)
-            _add(y1, tmp, y1)
-            _multiply(y1, y1, energy)
-            _multiply(energy, half, energy)
-            _multiply(x1, x1, tmp)
-            _multiply(tmp, half_spring, tmp)
-            _add(energy, tmp, energy)
-            _subtract(energy, h0, energy)
-            _absolute(energy, energy)
-            _fmax(err, energy, err)
-            x0, x1, y0, y1 = x1, x0, y1, y0
-    err[~(np.isfinite(x0) & np.isfinite(y0))] = np.inf
+        for block_steps, x, y, e, t, x_end, y_end in blocks:
+            for x0, y0, x1, y1 in block_steps:
+                _multiply(a, x0, x1)
+                _multiply(b, y0, tmp)
+                _add(x1, tmp, x1)
+                _multiply(c, x0, y1)
+                _multiply(d, y0, tmp)
+                _add(y1, tmp, y1)
+            _multiply(y, y, e)
+            _multiply(e, 0.5, e)
+            _multiply(x, x, t)
+            _multiply(t, half_spring, t)
+            _add(e, t, e)
+            _subtract(e, h0, e)
+            _absolute(e, e)
+            _fmax(err, _fmax_reduce(e, 0, None, block_max), err)
+            _copyto(xs[0], x_end)
+            _copyto(ys[0], y_end)
+    err[~(np.isfinite(xs[0]) & np.isfinite(ys[0]))] = np.inf
     return np.minimum(err, ENERGY_ERROR_CAP)
 
 

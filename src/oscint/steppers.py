@@ -252,20 +252,37 @@ def _midpoint_full_kernel(sys: OscillatorySystem, h: float, q: np.ndarray, p: np
     max norm, for at most FP_MAX_ITER iterations.  Contracts only while
     (h^2/4) Lip(f) < 1, so this is a small-step baseline.  It evaluates
     the slow force at midpoints only and carries no kick.  On NoConvergence
-    q and p are left as they were.
+    q and p are left as they were.  FP_TOL is read when the kernel is bound.
 
     The iterates ping-pong between two buffers, each with its own bound
-    total force, so no iterate is written over its predecessor.  A finite
-    change <= FP_TOL implies a finite iterate, and a non-finite iterate
-    makes the change NaN or inf, so finiteness is checked only when the
-    test fails.  A diverging iteration overflows on the way; the kernel
-    enters no np.errstate, its callers silence it (integrate once per run,
-    _step_once once per step).
+    total force, so no iterate is written over its predecessor.  The
+    max-norm test is decided by s = diff.diff, one dot over the n elements
+    of the change, wherever s settles it.  For nonnegative terms the
+    computed s is within a relative n*eps of the exact sum of squares, and
+    the exact sum lies between max|diff|^2 and n max|diff|^2.  So
+    s <= FP_TOL^2/2 proves max|diff| < FP_TOL, and s > 2 n FP_TOL^2 proves
+    max|diff| > FP_TOL; only s between the two, or NaN, runs the exact
+    max-norm test, and every decision, iteration count and iterate is the
+    exact test's.  The bounds are used only where FP_TOL^2 is a normal
+    number far above the squares' underflow; otherwise every test is exact.
+    An inf or NaN in either iterate makes the change, and so s, inf or NaN,
+    so a finite s proves a finite iterate, and only a non-finite s, on a
+    failed test, checks the iterate with isfinite (a finite iterate whose
+    change squares to overflow goes on).  A diverging iteration overflows on
+    the way; the kernel enters no np.errstate, its callers silence it
+    (integrate once per run, _step_once once per step).
     """
     h, half_h, quarter_h2, two = (_operand(c, q) for c in (h, 0.5 * h, 0.25 * h * h, 2.0))
-    ma, mb, base, f, t1, diff, delta = _scratch(q, 7)
-    # the max norm of the change reduces over every axis of a block too
-    delta_flat = delta.reshape(-1)
+    ma, mb, base, f, t1, diff = _scratch(q, 6)
+    # the change of a block of states is tested over every axis
+    diff_flat = diff.reshape(-1)
+    delta = np.empty(diff.size)
+    dot = diff_flat.dot
+    # s <= below proves convergence and s > above disproves it (docstring)
+    tol = FP_TOL
+    tol2 = tol * tol
+    below, above = (
+        (0.5 * tol2, 2.0 * diff.size * tol2) if tol > 0.0 and tol2 >= 1e-290 else (-1.0, math.inf))
     finite = np.empty(q.shape, dtype=bool)
     force_a = _bind_total_force(sys, ma, f)
     force_b = _bind_total_force(sys, mb, f)
@@ -273,16 +290,21 @@ def _midpoint_full_kernel(sys: OscillatorySystem, h: float, q: np.ndarray, p: np
     def kernel():
         _multiply(half_h, p, t1)
         _add(q, t1, base)
-        np.copyto(ma, base)
+        _add(q, t1, ma)
         m, force_m, m_next, force_next = ma, force_a, mb, force_b
         for i in range(FP_MAX_ITER):
             force_m()
             _multiply(quarter_h2, f, t1)
             _add(base, t1, m_next)
             _subtract(m_next, m, diff)
-            _absolute(diff, delta)
-            done = _max(delta_flat) <= FP_TOL
-            if not done and not _isfinite(m_next, finite).all():
+            s = dot(diff_flat)
+            if s <= below:
+                done = True
+            elif s > above:
+                done = False
+            else:  # between the bounds, or NaN: the exact test
+                done = _max(_absolute(diff_flat, delta)) <= tol
+            if not done and not math.isfinite(s) and not _isfinite(m_next, finite).all():
                 raise NoConvergence(i + 1)
             m, force_m, m_next, force_next = m_next, force_next, m, force_m
             if done:
@@ -316,11 +338,13 @@ def _kernel(
     return _kick_drift_kick(partial(bind_slow_force, sys.slow_force), inner, h, q, p)
 
 
-def _state_buffers(state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _state_buffers(sys: OscillatorySystem, state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A fresh contiguous z = [q | p] holding a copy of the state, and its
-    q and p views."""
+    q and p views; rejects a state whose length is not the system's d."""
+    d = sys.d
+    if state.q.size != d:
+        raise ValueError(f"the initial state has length {state.q.size}, the system d={d}")
     z = np.concatenate((state.q, state.p))
-    d = state.q.size
     return z, z[:d], z[d:]
 
 
@@ -337,9 +361,11 @@ def _step_once(
         bind(q, p)()
 
 
-def _state_step(bind: Callable[[np.ndarray, np.ndarray], Kernel], state: State, h: float) -> State:
-    """One step of bind(q, p)'s kernel on a copy of the state; h may be negative."""
-    _, q, p = _state_buffers(state)
+def _state_step(
+    sys: OscillatorySystem, bind: Callable[[np.ndarray, np.ndarray], Kernel], state: State, h: float
+) -> State:
+    """One step of bind(q, p)'s kernel on a copy of a state of sys; h may be negative."""
+    _, q, p = _state_buffers(sys, state)
     _step_once(bind, q, p)
     return State(state.t + h, q, p)
 
@@ -351,41 +377,41 @@ def kick_slow(sys: OscillatorySystem, state: State, dt: float) -> State:
 
 def step_midpoint_fast(sys: OscillatorySystem, state: State, h: float) -> State:
     """Implicit midpoint step of the fast quadratic part only (see _fast_midpoint)."""
-    return _state_step(partial(_fast_midpoint, sys.w2, h), state, h)
+    return _state_step(sys, partial(_fast_midpoint, sys.w2, h), state, h)
 
 
 def step_imex(sys: OscillatorySystem, state: State, h: float) -> State:
     """Half slow kick, implicit midpoint on the fast part, half slow kick."""
-    return _state_step(partial(_kernel, sys, Method.IMEX, h), state, h)
+    return _state_step(sys, partial(_kernel, sys, Method.IMEX, h), state, h)
 
 
 def step_stormer_verlet(sys: OscillatorySystem, state: State, h: float) -> State:
     """Kick-drift-kick on the full force."""
-    return _state_step(partial(_kernel, sys, Method.SV, h), state, h)
+    return _state_step(sys, partial(_kernel, sys, Method.SV, h), state, h)
 
 
 def step_respa(sys: OscillatorySystem, state: State, h: float, substeps: int) -> State:
     """Impulse multiple time stepping: outer half kicks of the slow force
     around `substeps` Stormer-Verlet substeps of the fast-only system."""
     _check_count("substeps", substeps)
-    return _state_step(partial(_kernel, sys, Method.RESPA, h, substeps=substeps), state, h)
+    return _state_step(sys, partial(_kernel, sys, Method.RESPA, h, substeps=substeps), state, h)
 
 
 def step_modified_impulse(sys: OscillatorySystem, state: State, h: float) -> State:
     """Impulse method whose fast step rotates each axis by its modified
     frequency (see _fast_rotation)."""
-    return _state_step(partial(_kernel, sys, Method.MODIFIED_IMPULSE, h), state, h)
+    return _state_step(sys, partial(_kernel, sys, Method.MODIFIED_IMPULSE, h), state, h)
 
 
 def step_midpoint_full(sys: OscillatorySystem, state: State, h: float) -> State:
     """Implicit midpoint on the full potential (see _midpoint_full_kernel)."""
-    return _state_step(partial(_kernel, sys, Method.MIDPOINT_FULL, h), state, h)
+    return _state_step(sys, partial(_kernel, sys, Method.MIDPOINT_FULL, h), state, h)
 
 
 def make_stepper(sys: OscillatorySystem, spec: StepperSpec) -> Callable[[State], State]:
     """Bind a spec to a system as a State -> State map."""
     bind = partial(_kernel, sys, spec.method, spec.h, substeps=spec.substeps)
-    return lambda s: _state_step(bind, s, spec.h)
+    return lambda s: _state_step(sys, bind, s, spec.h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,12 +488,10 @@ def integrate(
     _check_count("stride", stride)
     t0 = state0.t
     n_steps = step_count(spec, t0, t_end)
-    d = sys.d
-    if state0.q.size != d:
-        raise ValueError(f"the initial state has length {state0.q.size}, the system d={d}")
-    if not (np.isfinite(state0.q).all() and np.isfinite(state0.p).all()):
+    z, q, p = _state_buffers(sys, state0)
+    if not np.isfinite(z).all():
         raise ValueError("the initial state must be finite")
-    z, q, p = _state_buffers(state0)
+    d = sys.d
     kernel = _kernel(sys, spec.method, spec.h, q, p, spec.substeps)
     # the start, every stride-th state, and a possible blow-up sample
     n_rows = n_steps // stride + 2

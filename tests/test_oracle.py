@@ -16,7 +16,11 @@ the same floating-point operations on the same operands, or their exact
 negations (RESPA's substeps kick with (-w2) q and add where the frozen
 loop multiplies by w2 and subtracts), so they are pinned bit for bit
 (np.array_equal; the kernel pins compare sign bits too, since array_equal
-takes -0.0 == 0.0).
+takes -0.0 == 0.0).  The sweep loop, which evaluates energies per block of
+steps, is pinned at step counts around the block size; midpoint-full, whose
+stopping test is decided by a one-dot pre-test where that can, is pinned
+where only the exact test decides, on a basis block, and where the squares
+of a finite change overflow.
 
 The module also keeps the one map that production no longer carries:
 Stormer-Verlet with a mass matrix (verlet_with_mass_step), against which
@@ -334,6 +338,20 @@ def frozen_midpoint_full_kernel(force, w2, h, fp_tol=1e-12, fp_max_iter=200):
     return kernel
 
 
+def frozen_midpoint_changes(force, w2, h, q, p, n_iter):
+    """The changes m_next - m of the frozen midpoint-full kernel's first
+    n_iter fixed-point iterations, computed as that kernel computes them."""
+    quarter_h2 = 0.25 * h * h
+    base = q + 0.5 * h * p
+    m, changes = base, []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_iter):
+            m_next = base + quarter_h2 * (force(m) - w2 * m)
+            changes.append(m_next - m)
+            m = m_next
+    return changes
+
+
 def frozen_linear_max_energy_errors(mats, spring, n_steps, q0, p0):
     """The sweep's einsum loop, which reset diverged rows to the cap each step."""
     n = mats.shape[0]
@@ -383,6 +401,12 @@ def _pinned(sys_, force, name, h):
 PINNED = ["sv", "imex", "respa", "modified-impulse", "midpoint-full"]
 
 
+def _assert_same(got, want):
+    # array_equal takes -0.0 == 0.0, so the signs are compared too
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def _assert_pinned(sys_, force, state0, name, h, n_steps):
     """integrate and the public step of one method reproduce the frozen
     kernel bit for bit over n_steps steps."""
@@ -395,16 +419,11 @@ def _assert_pinned(sys_, force, state0, name, h, n_steps):
         want_p.append(p)
     want_q, want_p = np.array(want_q), np.array(want_p)
 
-    def assert_same(got, want):
-        # array_equal takes -0.0 == 0.0, so the signs are compared too
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-
     # (n - 1/2) h keeps the step count at n whatever the rounding of n h
     traj = integrate(sys_, spec, state0, state0.t + (n_steps - 0.5) * h)
     assert traj.completed and len(traj.times) == n_steps + 1
-    assert_same(traj.qs, want_q)
-    assert_same(traj.ps, want_p)
+    _assert_same(traj.qs, want_q)
+    _assert_same(traj.ps, want_p)
 
     s = state0
     got_q, got_p = [s.q], [s.p]
@@ -412,8 +431,8 @@ def _assert_pinned(sys_, force, state0, name, h, n_steps):
         s = public_step(s)
         got_q.append(s.q)
         got_p.append(s.p)
-    assert_same(np.array(got_q), want_q)
-    assert_same(np.array(got_p), want_p)
+    _assert_same(np.array(got_q), want_q)
+    _assert_same(np.array(got_p), want_p)
 
 
 @pytest.mark.parametrize("name", PINNED)
@@ -478,6 +497,66 @@ def test_midpoint_full_no_convergence_matches_frozen_kernel(model50, monkeypatch
     assert s0.q[0] == 1.0 and s0.p[0] == 0.0
 
 
+def test_midpoint_full_change_in_the_exact_test_band_matches_frozen_kernel(lattice, monkeypatch):
+    # FP_TOL is set to the max norm of the third change, and to the float
+    # below it.  That change's s = diff.diff then lies between the
+    # pre-test's bounds, so the exact max-norm test decides: the step stops
+    # at the third iteration at the first tolerance and goes on at the second
+    sys_, state0 = lattice
+    force = frozen_fpu_slow_force(ELL)
+    changes = frozen_midpoint_changes(force, sys_.w2, H, state0.q, state0.p, 3)
+    tol = float(np.max(np.abs(changes[-1])))
+    assert all(np.max(np.abs(c)) > tol for c in changes[:-1])
+    s = float(changes[-1] @ changes[-1])
+    results = []
+    for fp_tol in (tol, np.nextafter(tol, 0.0)):
+        assert fp_tol * fp_tol / 2.0 < s <= 2.0 * changes[-1].size * fp_tol * fp_tol
+        want_q, want_p, _ = frozen_midpoint_full_kernel(force, sys_.w2, H, fp_tol)(
+            state0.q, state0.p, None)
+        monkeypatch.setattr(steppers, "FP_TOL", fp_tol)
+        got = step_midpoint_full(sys_, state0, H)
+        _assert_same(got.q, want_q)
+        _assert_same(got.p, want_p)
+        traj = integrate(sys_, StepperSpec(Method.MIDPOINT_FULL, H), state0, 0.5 * H)
+        _assert_same(traj.final_state.q, want_q)
+        results.append(got.q)
+    # one more iteration moves the step, so the two runs stopped apart
+    assert not np.array_equal(*results)
+
+
+def test_midpoint_full_basis_block_matches_frozen_kernel():
+    # propagation_matrix steps a (2, d) block of basis states; the stopping
+    # rule's norm, and so the pre-test's dot, runs over all 2 d elements
+    h = 0.1
+    omegas = np.array([0.5, 1.0, 2.0, 5.0, 10.0])
+    sys_ = coupled_oscillator_build(omegas)
+    q, p = np.repeat(np.eye(2)[..., np.newaxis], omegas.size, axis=-1)
+    want_q, want_p, _ = frozen_midpoint_full_kernel(frozen_model_slow_force, sys_.w2, h)(q, p, None)
+    want = np.moveaxis(np.stack([want_q, want_p]), -1, 0)
+    got = propagation_matrix(StepperSpec("midpoint-full", h), omegas)
+    assert got.shape == (omegas.size, 2, 2)
+    _assert_same(got, want)
+
+
+def test_midpoint_full_overflowing_change_matches_frozen_no_convergence():
+    # past the contraction limit ((h^2/4)(1 + omega^2) = 25) from q = 1e200,
+    # the changes (~1e200 and growing) overflow their sum of squares while
+    # the iterates stay finite, so the iteration must go on until an
+    # iterate itself overflows, as in the frozen kernel
+    sys_ = coupled_oscillator_build(200.0)
+    h = 0.05
+    q0, p0 = np.array([1e200]), np.array([0.0])
+    changes = frozen_midpoint_changes(frozen_model_slow_force, sys_.w2, h, q0, p0, 20)
+    with np.errstate(over="ignore"):
+        assert all(np.isfinite(c).all() and c @ c == np.inf for c in changes)
+    with pytest.raises(NoConvergence) as want:
+        frozen_midpoint_full_kernel(frozen_model_slow_force, sys_.w2, h)(q0, p0, None)
+    with pytest.raises(NoConvergence) as got:
+        step_midpoint_full(sys_, State(0.0, q0, p0), h)
+    assert got.value.iterations == want.value.iterations
+    assert 20 < got.value.iterations < steppers.FP_MAX_ITER
+
+
 def basis_state_matrices(step, d):
     """Per-axis one-step matrices, shape (d, 2, 2), of a State -> State step
     on d decoupled axes, from its action on the two basis States."""
@@ -539,18 +618,24 @@ def test_sweep_overflow_rows_read_the_cap(monkeypatch):
     assert np.all(np.isfinite(err_imex)) and np.all(err_imex < 1.0)
 
 
-def test_sweep_loop_matches_frozen_loop_on_random_matrices():
+K = experiments.SWEEP_BLOCK
+
+
+@pytest.mark.parametrize("n_steps", [1, K - 1, K, K + 1, 2 * K + 3, 200])
+def test_sweep_loop_matches_frozen_loop_on_random_matrices(n_steps):
     # the sweep's own errors peak where the energy is mostly kinetic, so
     # they miss a last-bit change of the potential term; random matrices
-    # and starts reach every term, and over half of them diverge
+    # and starts reach every term, and over half of them diverge in 200
+    # steps.  The step counts around the block size K pin partial blocks.
     rng = np.random.default_rng(7)
     n = 1000
     spring = rng.uniform(0.5, 2e4, size=n)
-    args = (rng.uniform(-1.5, 1.5, size=(n, 2, 2)), spring, 200,
+    args = (rng.uniform(-1.5, 1.5, size=(n, 2, 2)), spring, n_steps,
             1.0 / np.sqrt(spring), rng.uniform(-1.0, 1.0, size=n))
     got = experiments._linear_max_energy_errors(*args)
     assert np.array_equal(got, frozen_linear_max_energy_errors(*args))
-    assert 0 < np.sum(got == ENERGY_ERROR_CAP) < n
+    if n_steps == 200:
+        assert 0 < np.sum(got == ENERGY_ERROR_CAP) < n
 
 
 def test_sweep_loop_caps_a_row_that_jumps_to_nan():

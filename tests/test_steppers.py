@@ -375,6 +375,18 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="length 1, the system d=6"):
             integrate(fpu_sys, spec, State(0.0, [1.0], [0.0]), 1.0)
 
+    def test_single_step_state_must_match_system(self, fpu_sys):
+        # the same model state, through the public single steps
+        short = State(0.0, [1.0], [0.0])
+        steps = [
+            lambda: step_imex(fpu_sys, short, 0.1),
+            lambda: step_respa(fpu_sys, short, 0.1, 10),
+            lambda: make_stepper(fpu_sys, StepperSpec(Method.SV, 0.1))(short),
+        ]
+        for step in steps:
+            with pytest.raises(ValueError, match="length 1, the system d=6"):
+                step()
+
     @pytest.mark.parametrize(
         "t_end, q0",
         [(float("inf"), 1.0), (float("nan"), 1.0), (1.0, float("nan")), (1.0, float("inf"))],
@@ -488,7 +500,7 @@ class TestBufferOwnership:
         # on the ell = 1000 lattice one state vector is 16 000 B; a step's
         # own bookkeeping (the iteration counter, a reduced scalar) is far less
         sys_ = fpu_build(FpuParams(ell=1000, omega=50.0))
-        _, q, p = _state_buffers(fpu_initial_state(sys_))
+        _, q, p = _state_buffers(sys_, fpu_initial_state(sys_))
         kernel = _kernel(sys_, method, 0.01, q, p, substeps=3)
         kernel()
         tracemalloc.start()
