@@ -9,7 +9,6 @@ from .analysis import (
     imex_stability,
     max_energy_error,
     modified_frequency,
-    modified_mass,
     propagation_matrix,
     windowed_mean,
 )
@@ -22,22 +21,6 @@ from .experiments import (
     model_exact_state,
     resonance_sweep,
 )
-from .lagrangians import (
-    DiscreteLagrangian,
-    Quadrature,
-    del_residual,
-    ld_d1,
-    ld_d2,
-    ld_value,
-    legendre_minus,
-    legendre_plus,
-)
-from .linalg import (
-    NotPositiveDefinite,
-    spd_factor,
-    spectral_radius_2x2,
-    sym_matrix,
-)
 from .steppers import (
     BLOWUP,
     BLOWUP_NORM_CAP,
@@ -48,7 +31,6 @@ from .steppers import (
     Trajectory,
     integrate,
     kick_slow,
-    make_stepper,
     step_imex,
     step_midpoint_fast,
     step_midpoint_full,

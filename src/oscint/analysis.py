@@ -1,8 +1,11 @@
-"""Diagnostics: modified frequencies and masses, linear stability, energy errors.
+"""Diagnostics: modified frequencies, linear stability, energy errors.
 
 The stability tools build one-step propagation matrices by stepping the
 method's kernel, the one integrate runs, once on a block of basis states,
-so they exercise production code rather than re-derived formulas.
+so they exercise production code rather than re-derived formulas.  The
+modified mass and the discrete Lagrangians, which read the IMEX step as a
+variational integrator, are proof code and live beside the tests
+(tests/variational.py).
 """
 from __future__ import annotations
 
@@ -12,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import spectral_radius_2x2, sym_matrix
 from .steppers import BLOWUP, Method, StepperSpec, Trajectory, _kernel, _step_once
 from .systems import coupled_oscillator_build
 
@@ -37,15 +39,6 @@ def modified_frequency(h: float, omega: float) -> float:
     return 2.0 * math.atan(0.5 * h * omega) / h
 
 
-def modified_mass(h: float, omega2) -> np.ndarray:
-    """M~ = I + (h^2/4) Omega^2, the mass that makes the endpoint-quadrature
-    step reproduce the midpoint treatment of the fast force."""
-    omega2 = sym_matrix(omega2)
-    if not math.isfinite(h):
-        raise ValueError("h must be finite")
-    return np.eye(omega2.shape[0]) + 0.25 * h * h * omega2
-
-
 def propagation_matrix(spec: StepperSpec, omega) -> np.ndarray:
     """One-step matrix of the method on the model problem: (2, 2) for a
     scalar omega, (d, 2, 2), one per axis, for a vector of d.
@@ -62,6 +55,16 @@ def propagation_matrix(spec: StepperSpec, omega) -> np.ndarray:
     _step_once(lambda q, p: _kernel(sys, spec.method, spec.h, q, p, spec.substeps), *block)
     mats = np.moveaxis(block, -1, 0)
     return mats if np.ndim(omega) else mats[0]
+
+
+def spectral_radius_2x2(p) -> float:
+    """Largest eigenvalue modulus of a real 2x2 matrix via the quadratic formula."""
+    (a, b), (c, d) = np.asarray(p, dtype=float)
+    tr = a + d
+    det = a * d - b * c
+    # scimath.sqrt goes complex for a conjugate (rotation-like) pair
+    root = np.lib.scimath.sqrt(tr * tr - 4.0 * det)
+    return float(max(abs(0.5 * (tr + root)), abs(0.5 * (tr - root))))
 
 
 @dataclass(frozen=True)

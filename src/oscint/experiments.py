@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import ENERGY_ERROR_CAP, convergence_order, propagation_matrix, windowed_mean
-from .steppers import Method, StepperSpec, Trajectory, integrate, step_count
+from .steppers import MAX_STEPS, Method, StepperSpec, Trajectory, integrate, step_count
 from .systems import FpuParams, State, coupled_oscillator_build, fpu_build, fpu_initial_state
 
 # Sweep initial condition: displacement 1/sqrt(1 + omega^2), zero momentum.
@@ -143,6 +143,9 @@ def resonance_sweep(
     """
     if not all(x > 0.0 and math.isfinite(x) for x in (h, t_end, grid, sweep_max)):
         raise ValueError("sweep parameters must be positive and finite")
+    omega_max = sweep_max * math.pi / h
+    if not math.isfinite(omega_max * omega_max):
+        raise ValueError("the sweep's largest omega, max*pi/h, must have a finite square")
     respa = StepperSpec(Method.RESPA, h, substeps)  # rejects substeps that is not an int >= 1
     rows = 2.0 * sweep_max / grid
     if substeps > MAX_SWEEP_ROW_STEPS or not (
@@ -218,12 +221,13 @@ def fpu_exchange(
     if reference_h is not None:
         ref_spec = StepperSpec(method=Method.SV, h=reference_h)
         # reject an unbounded reference before the main run
-        step_count(ref_spec, state0.t, t_end)
+        step_count(ref_spec, state0.t, t_end, sys.d)
     traj = integrate(sys, spec, state0, t_end, stride=stride)
     reference = None
     sup_diffs = None
     if ref_spec is not None:
-        ref_stride = max(1, round(0.01 / reference_h))
+        # a sample every 0.01; no stride past MAX_STEPS records fewer samples
+        ref_stride = max(1, round(min(0.01 / reference_h, MAX_STEPS)))
         reference = integrate(sys, ref_spec, state0, t_end, stride=ref_stride)
         if traj.completed and reference.completed:
             sup_diffs = windowed_stiff_diffs(traj, reference, window)

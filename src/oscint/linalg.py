@@ -1,8 +1,9 @@
-"""Small dense linear algebra: SPD factorization, matrix validation, 2x2 spectra.
+"""A reusable Cholesky factorization of a small symmetric positive definite matrix.
 
-The steppers' stiff flow is per-axis and needs none of this; the SPD
-factorization serves the discrete Lagrangians' mass check, sized for a
-handful of degrees of freedom.
+No command imports this module: the steppers' stiff flow is per-axis and
+solves nothing.  The tests factor a mass matrix with it (the discrete
+Lagrangians' mass check and Stormer-Verlet with a modified mass), and
+perfbench's tracer names spd_factor and SpdFactor.solve.
 """
 from __future__ import annotations
 
@@ -13,18 +14,6 @@ import numpy as np
 
 class NotPositiveDefinite(ValueError):
     """Cholesky factorization hit a nonpositive pivot."""
-
-
-def sym_matrix(entries) -> np.ndarray:
-    """Validate and return an exactly symmetric float64 matrix."""
-    a = np.array(entries, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    if not np.array_equal(a, a.T):
-        raise ValueError("matrix entries are not exactly symmetric")
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,12 +36,3 @@ def spd_factor(a) -> SpdFactor:
         raise NotPositiveDefinite(str(exc)) from exc
     return SpdFactor(lower)
 
-
-def spectral_radius_2x2(p) -> float:
-    """Largest eigenvalue modulus of a real 2x2 matrix via the quadratic formula."""
-    (a, b), (c, d) = np.asarray(p, dtype=float)
-    tr = a + d
-    det = a * d - b * c
-    # scimath.sqrt goes complex for a conjugate (rotation-like) pair
-    root = np.lib.scimath.sqrt(tr * tr - 4.0 * det)
-    return float(max(abs(0.5 * (tr + root)), abs(0.5 * (tr - root))))

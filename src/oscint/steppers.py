@@ -19,7 +19,7 @@ from the end of one step to the start of the next, so a run of n steps
 evaluates the slow force n + 1 times.  _kernel is the one map from a
 method to its kernel.  integrate holds the state in one buffer
 z = [q | p] and records copies of it into one sample block.  Every single
-step outside integrate (the public step_* functions, make_stepper,
+step outside integrate (the public step_* functions and
 analysis.propagation_matrix) goes through _step_once, which binds the
 kernel, steps it once and silences the overflow of a diverging
 midpoint-full iteration, as integrate does for a whole run.
@@ -46,9 +46,10 @@ BLOWUP_NORM_CAP = 1e8
 # midpoint-full's fixed-point stopping rule: max-norm change and iteration cap
 FP_TOL = 1e-12
 FP_MAX_ITER = 200
-# Work bound of one integrate run, each RESPA substep counted as a step;
-# checked before anything is allocated.  At ~20 us per lattice step it is
-# over half an hour of stepping.
+# Work bound of one integrate run in steps times d, each RESPA substep
+# counted as a step; checked before anything is allocated.  It bounds a
+# stride-1 sample block to 1.6 GB, and the stepping to about 10 minutes at
+# d = 1 (~5 us a step) and seconds on the ell = 1e5 lattice (4-9 ms a step).
 MAX_STEPS = 10 ** 8
 
 # the ufuncs of the per-step calls (see the module docstring)
@@ -408,12 +409,6 @@ def step_midpoint_full(sys: OscillatorySystem, state: State, h: float) -> State:
     return _state_step(sys, partial(_kernel, sys, Method.MIDPOINT_FULL, h), state, h)
 
 
-def make_stepper(sys: OscillatorySystem, spec: StepperSpec) -> Callable[[State], State]:
-    """Bind a spec to a system as a State -> State map."""
-    bind = partial(_kernel, sys, spec.method, spec.h, substeps=spec.substeps)
-    return lambda s: _state_step(sys, bind, s, spec.h)
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded samples of a run plus its outcome.
@@ -447,22 +442,23 @@ class Trajectory:
         return State(float(self.times[i]), self.qs[i].copy(), self.ps[i].copy())
 
 
-def step_count(spec: StepperSpec, t0: float, t_end: float) -> int:
+def step_count(spec: StepperSpec, t0: float, t_end: float, d: int) -> int:
     """Steps integrate takes from t0 to t_end: ceil((t_end - t0)/h), at least one.
 
     Rejects a non-finite or empty span and a run of more than MAX_STEPS
-    steps (RESPA's substeps counted), before any work is done.
+    steps times d (RESPA's substeps counted) on a system of d axes, before
+    any work is done.
     """
     if not (math.isfinite(t0) and math.isfinite(t_end)):
         raise ValueError("t_end and the initial time must be finite")
     if not t_end > t0:
         raise ValueError("t_end must exceed the initial time")
     steps = (t_end - t0) / spec.h
-    per_step = spec.substeps if spec.method is Method.RESPA else 1
+    per_step = d * (spec.substeps if spec.method is Method.RESPA else 1)
     if per_step > MAX_STEPS or not steps * per_step <= MAX_STEPS:
         raise ValueError(
-            f"a run from t={t0:g} to {t_end:g} at h={spec.h:g} takes more than "
-            f"{MAX_STEPS:.0e} steps"
+            f"a run from t={t0:g} to {t_end:g} at h={spec.h:g} on d={d} takes more than "
+            f"{MAX_STEPS:.0e} steps times d"
         )
     # at least one step: the quotient can underflow to 0 for a tiny span
     return max(1, math.ceil(steps))
@@ -475,7 +471,7 @@ def integrate(
     t_end: float,
     stride: int = 1,
 ) -> Trajectory:
-    """Run step_count(spec, t0, t_end) steps, recording every stride-th state.
+    """Run step_count(spec, t0, t_end, sys.d) steps, recording every stride-th state.
 
     Sample times are computed as t0 + n*h from the integer step count.  A
     non-finite state or one exceeding BLOWUP_NORM_CAP in the max norm stops
@@ -487,12 +483,11 @@ def integrate(
     """
     _check_count("stride", stride)
     t0 = state0.t
-    n_steps = step_count(spec, t0, t_end)
+    n_steps = step_count(spec, t0, t_end, sys.d)
     z, q, p = _state_buffers(sys, state0)
     if not np.isfinite(z).all():
         raise ValueError("the initial state must be finite")
     d = sys.d
-    kernel = _kernel(sys, spec.method, spec.h, q, p, spec.substeps)
     # the start, every stride-th state, and a possible blow-up sample
     n_rows = n_steps // stride + 2
     zs = np.empty((n_rows, 2 * d))
@@ -504,8 +499,10 @@ def integrate(
     cap2 = cap * cap
     zdot = z.dot
     status, t_blowup, cause = COMPLETED, None, None
-    # a diverging run may overflow before the cap test stops it
+    # a diverging run may overflow before the cap test stops it, as early
+    # as in the force evaluation that binding the kernel makes
     with np.errstate(over="ignore", invalid="ignore"):
+        kernel = _kernel(sys, spec.method, spec.h, q, p, spec.substeps)
         for n in range(1, n_steps + 1):
             try:
                 kernel()

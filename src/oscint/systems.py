@@ -89,10 +89,12 @@ class OscillatorySystem:
         w = np.array(self.omega, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("omega must be a nonempty vector of per-axis frequencies")
-        if not (np.isfinite(w).all() and (w >= 0.0).all()):
-            raise ValueError("omega must be finite and nonnegative")
+        with np.errstate(over="ignore"):
+            w2 = w * w
+        if not (np.isfinite(w2).all() and (w >= 0.0).all()):
+            raise ValueError("omega must be finite and nonnegative, with a finite square")
         object.__setattr__(self, "omega", _read_only(w))
-        object.__setattr__(self, "w2", _read_only(w * w))
+        object.__setattr__(self, "w2", _read_only(w2))
 
     @property
     def d(self) -> int:
@@ -124,8 +126,9 @@ class FpuParams:
         _check_count("ell", self.ell)
         if self.ell > MAX_ELL:
             raise ValueError(f"ell={self.ell} takes more than {MAX_ELL:.0e} stiff springs")
-        if not self.omega > 0.0:
-            raise ValueError("omega must be positive")
+        # the canonical start puts 1/omega into the first stiff position
+        if not (self.omega > 0.0 and math.isfinite(1.0 / float(self.omega))):
+            raise ValueError("omega must be positive, with a finite reciprocal")
 
 
 class SlowForce:

@@ -15,13 +15,13 @@ from oscint.analysis import (
     imex_stability,
     max_energy_error,
     modified_frequency,
-    modified_mass,
     propagation_matrix,
     windowed_mean,
 )
 from oscint.linalg import spd_factor
 from oscint.steppers import BLOWUP, COMPLETED, Method, StepperSpec, Trajectory, step_imex
 from oscint.systems import State, coupled_oscillator_build
+from variational import modified_mass
 
 STABLE_H = (1.0, 1.5, 1.9, 1.99)
 UNSTABLE_H = (2.01, 2.5, 3.0)

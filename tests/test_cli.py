@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line harness through a real subprocess,
-and of its CSV row formatting."""
+of its CSV row formatting, and a property test of main() in process."""
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oscint.cli import EXIT_BLOWUP, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
+from oscint.steppers import Method
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -225,9 +231,12 @@ class TestConvergence:
         ("integrate", "--system", "fpu", "--ell", "1000000000000", "--method", "imex",
          "--h", "0.1", "--t-end", "1"),
         ("fpu-exchange", "--ell", "1000000000000", "--t-end", "1"),
+        # 1e8 steps, under the bound as a step count, but times d = 2e5 axes
+        ("integrate", "--system", "fpu", "--ell", "100000", "--method", "imex",
+         "--h", "0.01", "--t-end", "1e6", "--stride", "1000000000"),
     ],
     ids=["integrate-h", "sweep-grid", "sweep-substeps", "exchange-reference-h",
-         "integrate-ell", "exchange-ell"],
+         "integrate-ell", "exchange-ell", "integrate-steps-times-d"],
 )
 def test_unbounded_work_is_config_error(tmp_path, args):
     # each would allocate terabytes or step for days; the work bound is
@@ -242,15 +251,20 @@ def test_unbounded_work_is_config_error(tmp_path, args):
 
 
 def test_import_leaves_scipy_unloaded():
+    # the CLI loads numpy only, and none of the package's proof-only code:
+    # linalg serves the tests and the benchmark's tracer, and the discrete
+    # Lagrangians live in tests/variational.py
+    unloaded = ("scipy", "oscint.linalg", "oscint.lagrangians")
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, oscint; print('scipy' in sys.modules)"],
+        [sys.executable, "-c",
+         f"import sys, oscint.cli; print([m for m in {unloaded!r} if m in sys.modules])"],
         capture_output=True,
         text=True,
         env=_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_csv_rows_match_per_value_format():
@@ -265,3 +279,66 @@ def test_csv_rows_match_per_value_format():
     block = np.concatenate([special, randoms[: 6000 - len(special)]]).reshape(-1, 3)
     want = [",".join(_fmt(float(v)) for v in row) for row in block]
     assert _rows([block[:, 0], block[:, 1:]]) == want
+
+
+# Each numeric flag is a special value or a draw from a small valid range.
+# The ranges bound an accepted run to about 1e4 steps (times d) and a sweep
+# to about 1e5 row-steps; a special value either is rejected or shortens
+# the run (h = 1e308 is one step).
+SPECIAL = (0.0, -1.0, math.nan, math.inf, -math.inf, 1e308, 5e-324)
+
+
+def _real(lo, hi):
+    return st.one_of(st.sampled_from(SPECIAL), st.floats(lo, hi))
+
+
+def _count(lo, hi):
+    return st.one_of(st.sampled_from(SPECIAL + (0, -1)), st.integers(lo, hi))
+
+
+def _optional(value):
+    return st.one_of(st.none(), value)
+
+
+METHODS = st.sampled_from([m.value for m in Method])
+SUBCOMMANDS = {
+    "integrate": {
+        "--system": st.sampled_from(["model", "fpu"]), "--method": METHODS,
+        "--h": _real(0.01, 1.0), "--t-end": _real(0.0, 2.0), "--stride": _count(1, 5),
+        "--omega": _optional(_real(0.0, 100.0)), "--ell": _count(1, 3),
+        "--substeps": _count(1, 10), "--q0": _optional(_real(-2.0, 2.0)),
+        "--p0": _optional(_real(-2.0, 2.0)),
+    },
+    "resonance-sweep": {
+        "--h": _real(0.05, 1.0), "--t-end": _real(0.0, 50.0), "--substeps": _count(1, 100),
+        "--grid": _real(0.1, 1.0), "--max": _real(0.1, 2.0),
+    },
+    "fpu-exchange": {
+        "--method": METHODS, "--h": _real(0.01, 1.0), "--t-end": _real(0.0, 2.0),
+        "--ell": _count(1, 3), "--omega": _optional(_real(0.0, 100.0)),
+        "--reference-h": _optional(_real(0.005, 0.1)), "--stride": _count(1, 5),
+        "--window": _optional(_real(0.01, 2.0)), "--substeps": _count(1, 10),
+    },
+    "convergence": {
+        "--h": _real(0.05, 1.0), "--t-end": _real(0.0, 2.0),
+        "--omega": _optional(_real(0.0, 10.0)), "--method": _optional(METHODS),
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_main_returns_an_exit_code_and_never_raises(command, tmp_path_factory):
+    out = ["--out", str(tmp_path_factory.mktemp(command) / "x.csv")]
+    if command == "convergence":
+        out = []
+
+    @settings(max_examples=40)
+    @given(st.fixed_dictionaries(SUBCOMMANDS[command]))
+    def run(flags):
+        # flag=value, so that a value such as -inf is not read as a flag
+        argv = [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+        # RuntimeWarnings are errors in this suite, so a warning fails here too
+        code = main([command, *argv, *out])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_BLOWUP, EXIT_CHECK_FAILED)
+
+    run()

@@ -81,6 +81,9 @@ class TestResonanceSweep:
         for substeps in (2.5, float("nan")):
             with pytest.raises(ValueError, match="substeps"):
                 resonance_sweep(substeps=substeps)
+        # one step, but the grid's omega = pi/h overflows
+        with pytest.raises(ValueError, match="largest omega"):
+            resonance_sweep(h=5e-324, t_end=5e-324, grid=1.0, sweep_max=1.0)
 
 
 class TestFpuExchange:
@@ -91,6 +94,12 @@ class TestFpuExchange:
         assert result.sup_diffs.shape == (3,)
         assert np.all(result.sup_diffs >= 0.0)
         assert result.window == 1.0
+
+    def test_reference_step_too_fine_for_a_stride(self):
+        # 0.01 / reference_h is inf: the reference records its start only
+        result = fpu_exchange(h=0.1, t_end=5e-324, reference_h=5e-324)
+        assert result.reference.completed
+        assert len(result.reference.times) == 1
 
     def test_non_integer_stride_rejected(self):
         with pytest.raises(ValueError, match="stride must be an integer"):

@@ -1,11 +1,17 @@
 """Unit tests for the discrete Lagrangians, their partials, and the
-discrete Euler-Lagrange / Legendre machinery."""
+discrete Euler-Lagrange / Legendre machinery (tests/variational.py)."""
 import numpy as np
 import pytest
 
 from oscint import steppers
-from oscint.analysis import modified_mass
-from oscint.lagrangians import (
+from oscint.linalg import NotPositiveDefinite
+from oscint.steppers import (
+    step_imex,
+    step_midpoint_full,
+    step_stormer_verlet,
+)
+from oscint.systems import OscillatorySystem, State
+from variational import (
     DiscreteLagrangian,
     Quadrature,
     del_residual,
@@ -14,14 +20,8 @@ from oscint.lagrangians import (
     ld_value,
     legendre_minus,
     legendre_plus,
+    modified_mass,
 )
-from oscint.linalg import NotPositiveDefinite
-from oscint.steppers import (
-    step_imex,
-    step_midpoint_full,
-    step_stormer_verlet,
-)
-from oscint.systems import OscillatorySystem, State
 
 
 def _fast_only_system(d: int, omega: float) -> OscillatorySystem:

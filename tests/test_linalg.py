@@ -1,13 +1,12 @@
-"""Unit tests for the small dense linear-algebra helpers."""
+"""Unit tests for the small dense linear-algebra helpers: the SPD factor
+(oscint.linalg), the 2x2 spectral radius (oscint.analysis) and the test-side
+symmetric-matrix check (tests/variational.py)."""
 import numpy as np
 import pytest
 
-from oscint.linalg import (
-    NotPositiveDefinite,
-    spd_factor,
-    spectral_radius_2x2,
-    sym_matrix,
-)
+from oscint.analysis import spectral_radius_2x2
+from oscint.linalg import NotPositiveDefinite, spd_factor
+from variational import sym_matrix
 
 
 class TestMatrixValidators:

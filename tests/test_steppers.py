@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from oscint import steppers
-from oscint.analysis import modified_mass, propagation_matrix
+from oscint.analysis import propagation_matrix
 from oscint.steppers import (
     BLOWUP,
     COMPLETED,
+    MAX_STEPS,
     Method,
     NoConvergence,
     StepperSpec,
@@ -18,7 +19,7 @@ from oscint.steppers import (
     _state_buffers,
     integrate,
     kick_slow,
-    make_stepper,
+    step_count,
     step_imex,
     step_midpoint_fast,
     step_midpoint_full,
@@ -36,6 +37,7 @@ from oscint.systems import (
     stiff_energies,
 )
 from test_oracle import verlet_with_mass_step
+from variational import modified_mass
 
 
 def _fast_only_system(d: int, omega: float) -> OscillatorySystem:
@@ -196,10 +198,9 @@ class TestMidpointFull:
         "run",
         [
             lambda sys_, s0: step_midpoint_full(sys_, s0, 0.5),
-            lambda sys_, s0: make_stepper(sys_, StepperSpec(Method.MIDPOINT_FULL, 0.5))(s0),
             lambda sys_, s0: propagation_matrix(StepperSpec("midpoint-full", 0.5), 50.0),
         ],
-        ids=["step_midpoint_full", "make_stepper", "propagation_matrix"],
+        ids=["step_midpoint_full", "propagation_matrix"],
     )
     def test_single_step_no_convergence_warns_nothing(self, model50, run):
         # at h*omega = 25 the iteration overflows before it gives up; a
@@ -271,21 +272,31 @@ class TestStepperSpec:
         with pytest.raises(ValueError, match="substeps"):
             step_respa(sys_, State(0.0, [1.0], [0.0]), 0.1, substeps)
 
-    def test_make_stepper_dispatch(self, fpu_sys):
-        s0 = _random_fpu_state(5)
-        h = 0.02
-        cases = {
-            Method.SV: step_stormer_verlet(fpu_sys, s0, h),
-            Method.IMEX: step_imex(fpu_sys, s0, h),
-            Method.RESPA: step_respa(fpu_sys, s0, h, 4),
-            Method.MODIFIED_IMPULSE: step_modified_impulse(fpu_sys, s0, h),
-            Method.MIDPOINT_FULL: step_midpoint_full(fpu_sys, s0, h),
-        }
-        for method, want in cases.items():
-            step = make_stepper(fpu_sys, StepperSpec(method=method, h=h, substeps=4))
-            got = step(s0)
-            assert got.q == pytest.approx(want.q, rel=1e-12, abs=1e-15)
-            assert got.p == pytest.approx(want.p, rel=1e-12, abs=1e-15)
+
+class TestWorkBound:
+    """MAX_STEPS bounds steps times d, RESPA's substeps counted."""
+
+    @pytest.mark.parametrize("method, substeps", [(Method.IMEX, 1), (Method.RESPA, 10)])
+    def test_boundary_on_the_lattice(self, method, substeps):
+        # ell = 5 has d = 10, so MAX_STEPS / (10 substeps) steps of h = 1
+        # are exactly the bound and one step more is past it
+        sys_ = fpu_build(FpuParams(ell=5, omega=50.0))
+        spec = StepperSpec(method, 1.0, substeps)
+        steps = MAX_STEPS // (sys_.d * substeps)
+        assert step_count(spec, 0.0, float(steps), sys_.d) == steps
+        with pytest.raises(ValueError, match="on d=10 takes more than 1e"):
+            step_count(spec, 0.0, steps + 1.0, sys_.d)
+        # integrate rejects it before it allocates or steps
+        with pytest.raises(ValueError, match="takes more than"):
+            integrate(sys_, spec, fpu_initial_state(sys_), steps + 1.0, stride=10 ** 9)
+
+    def test_boundary_on_the_model_system(self, model50):
+        spec = StepperSpec(Method.SV, 0.5)
+        assert step_count(spec, 0.0, 0.5 * MAX_STEPS, model50.d) == MAX_STEPS
+        with pytest.raises(ValueError, match="takes more than"):
+            step_count(spec, 0.0, 0.5 * MAX_STEPS + 0.5, model50.d)
+        with pytest.raises(ValueError, match="takes more than"):
+            integrate(model50, spec, State(0.0, [1.0], [0.0]), 0.5 * MAX_STEPS + 0.5)
 
 
 class TestIntegrate:
@@ -381,11 +392,18 @@ class TestIntegrate:
         steps = [
             lambda: step_imex(fpu_sys, short, 0.1),
             lambda: step_respa(fpu_sys, short, 0.1, 10),
-            lambda: make_stepper(fpu_sys, StepperSpec(Method.SV, 0.1))(short),
+            lambda: step_stormer_verlet(fpu_sys, short, 0.1),
         ]
         for step in steps:
             with pytest.raises(ValueError, match="length 1, the system d=6"):
                 step()
+
+    def test_huge_step_blows_up_without_warnings(self, fpu_sys, fpu_state0):
+        # binding the kernel already overflows ((h/2) F at h = 1e308); that
+        # belongs to the run, which reports blow-up, and warns nothing
+        for method in Method:
+            traj = integrate(fpu_sys, StepperSpec(method, 1e308), fpu_state0, 1.0)
+            assert traj.status == BLOWUP
 
     @pytest.mark.parametrize(
         "t_end, q0",
@@ -484,10 +502,6 @@ class TestBufferOwnership:
         s1.q[:] = 1e3
         s1.p[:] = -1e3
         assert np.array_equal(s2.q, q2) and np.array_equal(s2.p, p2)
-        # the state a make_stepper map returns is fresh too
-        s3 = make_stepper(fpu_sys, StepperSpec(method=method, h=0.01, substeps=3))(s2)
-        s3.q[:] = 0.0
-        assert np.array_equal(s2.q, q2)
 
     def test_kick_slow_returns_fresh_positions(self, model50):
         s0 = State(0.0, [2.0], [1.0])

@@ -91,7 +91,8 @@ class TestSystemValidation:
                 label="bad",
             )
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    # 1e308 is finite, but its square, the stiff force's w2, is not
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
     def test_non_finite_omega_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             coupled_oscillator_build(bad)
@@ -153,6 +154,9 @@ class TestFpuBuild:
             FpuParams(ell=0, omega=50.0)
         with pytest.raises(ValueError):
             FpuParams(ell=3, omega=0.0)
+        # the canonical start's stiff position 1/omega would overflow
+        with pytest.raises(ValueError, match="finite reciprocal"):
+            FpuParams(ell=3, omega=5e-324)
 
     @pytest.mark.parametrize("ell", [2.5, float("nan")])
     def test_non_integer_ell_rejected(self, ell):

@@ -1,14 +1,21 @@
-"""Discrete Lagrangians on position pairs and their exact partial derivatives.
+"""The variational reading of the steppers, which the tests check and no
+command runs.
 
-Three quadrature choices for the potential term share the same kinetic term
-(h/2) v' M v with v = (q1 - q0)/h:
+A discrete Lagrangian on a position pair is the kinetic term
+(h/2) v' M v with v = (q1 - q0)/h, less a quadrature of the potential.
+Three quadrature choices share that kinetic term:
 
   TRAPEZOIDAL  endpoint average of the full potential (slow + fast),
   MIDPOINT     full potential at the interval midpoint,
   IMEX         endpoint average of the slow potential, midpoint fast term.
 
-The discrete Euler-Lagrange residual and the two discrete Legendre
-transforms are assembled from the analytic partials.
+Their discrete Euler-Lagrange equations generate Stormer-Verlet, the
+implicit midpoint rule and the IMEX splitting.  The IMEX variant with unit
+mass equals the trapezoidal one carrying the modified mass
+M~ = I + (h^2/4) Omega^2 (modified_mass), which is how the splitting reads
+as Verlet with a modified mass.  The discrete Euler-Lagrange residual and
+the two discrete Legendre transforms are assembled from the analytic
+partials.
 """
 from __future__ import annotations
 
@@ -18,8 +25,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import spd_factor, sym_matrix
-from .systems import OscillatorySystem
+from oscint.linalg import spd_factor
+from oscint.systems import OscillatorySystem
+
+
+def sym_matrix(entries) -> np.ndarray:
+    """Validate and return an exactly symmetric float64 matrix."""
+    a = np.array(entries, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    if not np.array_equal(a, a.T):
+        raise ValueError("matrix entries are not exactly symmetric")
+    return a
+
+
+def modified_mass(h: float, omega2) -> np.ndarray:
+    """M~ = I + (h^2/4) Omega^2, the mass that makes the endpoint-quadrature
+    step reproduce the midpoint treatment of the fast force."""
+    omega2 = sym_matrix(omega2)
+    if not math.isfinite(h):
+        raise ValueError("h must be finite")
+    return np.eye(omega2.shape[0]) + 0.25 * h * h * omega2
 
 
 class Quadrature(enum.Enum):
