@@ -29,6 +29,15 @@ per-step calls are written lean: each ufunc is looked up once, through a
 module-level name such as _add, and its output buffer is passed
 positionally, _add(p, k, p) rather than np.add(p, k, out=p), which skips
 the keyword parsing and the attribute lookup on every call.
+
+Even so a ufunc call costs ~0.8 us, on one element as on a thousand, and a
+step makes 10-14.  So a one-axis state (q.shape == (1,)) whose slow force
+has a float form (SlowForce.float_form) steps in Python floats
+(_float_kernel), with the array kernel's operations in its order: Python
+rounds + - * / as numpy does, so every state is bit for bit the array
+kernels' (but for a NaN's sign, which numpy too picks by array size).
+Blocks (analysis.propagation_matrix), lattices and other forces take the
+array kernels.
 """
 from __future__ import annotations
 
@@ -73,7 +82,7 @@ def _scratch(like: np.ndarray, n: int) -> list[np.ndarray]:
     one of its inputs, except where a step accumulates into q or p: numpy
     treats an in-place operation on a one-element array as a possible
     reduction and takes its slow buffered path (about 1 us a call), which
-    the d = 1 model system would pay on every such operation.
+    only a one-axis state whose force has no float form still pays.
     """
     return [np.empty(like.shape) for _ in range(n)]
 
@@ -117,6 +126,13 @@ class StepperSpec:
         _check_count("substeps", self.substeps)
 
 
+def _rotation_constants(omega: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
+    """The rotation's 1 - a^2, h omega^2 and 1 + a^2 (a = h omega/2), per
+    axis (see _fast_rotation)."""
+    a2 = (0.5 * h * omega) ** 2
+    return 1.0 - a2, h * omega ** 2, 1.0 + a2
+
+
 def _fast_midpoint(w2: np.ndarray, h: float, q: np.ndarray, p: np.ndarray) -> Kernel:
     """Implicit midpoint on q'' = -w2 q, per axis.
 
@@ -157,10 +173,7 @@ def _fast_rotation(omega: np.ndarray, h: float, q: np.ndarray, p: np.ndarray) ->
     (h/2)(1 + c) = h/(1 + a^2) and (2/h)(1 - c) = h*omega_i^2/(1 + a^2).
     Axes with omega_i = 0 reduce exactly to the free drift q + h p.
     """
-    a2 = (0.5 * h * omega) ** 2
-    h_w2 = h * omega ** 2
-    cos_num = 1.0 - a2
-    denom = 1.0 + a2
+    cos_num, h_w2, denom = _rotation_constants(omega, h)
     h = _operand(h, q)
     t1, t2, t3, t4 = _scratch(q, 4)
 
@@ -253,7 +266,8 @@ def _midpoint_full_kernel(sys: OscillatorySystem, h: float, q: np.ndarray, p: np
     max norm, for at most FP_MAX_ITER iterations.  Contracts only while
     (h^2/4) Lip(f) < 1, so this is a small-step baseline.  It evaluates
     the slow force at midpoints only and carries no kick.  On NoConvergence
-    q and p are left as they were.  FP_TOL is read when the kernel is bound.
+    q and p are left as they were.  FP_TOL and FP_MAX_ITER are read when
+    the kernel is bound.
 
     The iterates ping-pong between two buffers, each with its own bound
     total force, so no iterate is written over its predecessor.  The
@@ -280,7 +294,7 @@ def _midpoint_full_kernel(sys: OscillatorySystem, h: float, q: np.ndarray, p: np
     delta = np.empty(diff.size)
     dot = diff_flat.dot
     # s <= below proves convergence and s > above disproves it (docstring)
-    tol = FP_TOL
+    tol, max_iter = FP_TOL, FP_MAX_ITER
     tol2 = tol * tol
     below, above = (
         (0.5 * tol2, 2.0 * diff.size * tol2) if tol > 0.0 and tol2 >= 1e-290 else (-1.0, math.inf))
@@ -293,7 +307,7 @@ def _midpoint_full_kernel(sys: OscillatorySystem, h: float, q: np.ndarray, p: np
         _add(q, t1, base)
         _add(q, t1, ma)
         m, force_m, m_next, force_next = ma, force_a, mb, force_b
-        for i in range(FP_MAX_ITER):
+        for i in range(max_iter):
             force_m()
             _multiply(quarter_h2, f, t1)
             _add(base, t1, m_next)
@@ -311,7 +325,7 @@ def _midpoint_full_kernel(sys: OscillatorySystem, h: float, q: np.ndarray, p: np
             if done:
                 break
         else:
-            raise NoConvergence(FP_MAX_ITER)
+            raise NoConvergence(max_iter)
         force_m()
         _multiply(h, f, t1)
         _add(p, t1, p)
@@ -321,11 +335,93 @@ def _midpoint_full_kernel(sys: OscillatorySystem, h: float, q: np.ndarray, p: np
     return kernel
 
 
+def _float_kick_drift_kick(force, inner, h: float, x0: float):
+    """_kick_drift_kick on floats, as a map (x, v) -> (x, v); the carried
+    half kick is first evaluated at x0."""
+    half = 0.5 * h
+    k = half * force(x0)
+
+    def step(x, v):
+        nonlocal k
+        x, v = inner(x, v + k)
+        k = half * force(x)
+        return x, v + k
+
+    return step
+
+
+def _float_kernel(
+    sys: OscillatorySystem, g, method: Method, h: float, q: np.ndarray, p: np.ndarray,
+    substeps: int,
+) -> Kernel:
+    """The method's kernel on a one-axis state in Python floats, g being the
+    slow force's float form (module docstring).  Each map does its array
+    kernel's operations in order on the same operands and constants, so it
+    rounds as they do.  x and v carry the state between calls, as the half
+    kick is carried, and each call writes q[0] and p[0]."""
+    w2, x, v = sys.w2.item(), q.item(), p.item()
+    if method is Method.MIDPOINT_FULL:
+        # at one element the dot pre-test decides as the exact test does, and
+        # a failed test raises NoConvergence exactly when m_next is not finite
+        half_h, quarter_h2, tol, max_iter = 0.5 * h, 0.25 * h * h, FP_TOL, FP_MAX_ITER
+
+        def step(x, v):
+            base = m = x + half_h * v
+            for i in range(max_iter):
+                m_next = base + quarter_h2 * (g(m) - w2 * m)
+                done = abs(m_next - m) <= tol
+                if not done and not math.isfinite(m_next):
+                    raise NoConvergence(i + 1)
+                m = m_next
+                if done:
+                    break
+            else:
+                raise NoConvergence(max_iter)
+            return 2.0 * m - x, v + h * (g(m) - w2 * m)
+    elif method is Method.SV:
+        step = _float_kick_drift_kick(lambda y: g(y) - w2 * y, lambda y, u: (y + h * u, u), h, x)
+    else:
+        if method is Method.IMEX:
+            half, quarter_h2 = 0.5 * h, 0.25 * h * h
+            denom = (1.0 + quarter_h2 * sys.w2).item()
+
+            def inner(y, u):
+                w2y = w2 * y
+                y1 = (y + h * u - quarter_h2 * w2y) / denom
+                return y1, u - half * (w2y + w2 * y1)
+        elif method is Method.RESPA:
+            dt, neg_w2 = h / substeps, (-sys.w2).item()
+            substep = _float_kick_drift_kick(
+                lambda y: neg_w2 * y, lambda y, u: (y + dt * u, u), dt, x)
+
+            def inner(y, u):
+                for _ in range(substeps):
+                    y, u = substep(y, u)
+                return y, u
+        else:
+            cos_num, h_w2, denom = (c.item() for c in _rotation_constants(sys.omega, h))
+
+            def inner(y, u):
+                return (cos_num * y + h * u) / denom, (cos_num * u - h_w2 * y) / denom
+        step = _float_kick_drift_kick(g, inner, h, x)
+
+    def kernel():
+        nonlocal x, v
+        x, v = step(x, v)
+        q[0] = x
+        p[0] = v
+
+    return kernel
+
+
 def _kernel(
     sys: OscillatorySystem, method: Method, h: float, q: np.ndarray, p: np.ndarray,
     substeps: int = 1,
 ) -> Kernel:
     """The method's kernel bound to q and p; substeps is read by RESPA only."""
+    float_form = getattr(sys.slow_force, "float_form", None)
+    if float_form is not None and q.shape == (1,):
+        return _float_kernel(sys, float_form, method, h, q, p, substeps)
     if method is Method.MIDPOINT_FULL:
         return _midpoint_full_kernel(sys, h, q, p)
     if method is Method.SV:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -138,7 +139,13 @@ class SlowForce:
     is when the call runs; views and scratch are set up once, at bind time.
     Calling the force allocates out, binds and runs, so both ways share one
     arithmetic.  x and out may carry leading axes (a block of states).
+
+    float_form, if not None, is g on one Python float, for a g made of IEEE
+    + - * / and sign flips only, which Python rounds as numpy does; a
+    one-axis state then steps in floats (steppers._float_kernel).
     """
+
+    float_form: Callable[[float], float] | None = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -165,6 +172,8 @@ def bind_slow_force(force, x: np.ndarray, out: np.ndarray) -> Callable[[], None]
 
 class _ModelSlowForce(SlowForce):
     """g(q) = -q: the unit soft spring of every model axis."""
+
+    float_form = staticmethod(operator.neg)
 
     def bind(self, x, out):
         return functools.partial(_negative, x, out)

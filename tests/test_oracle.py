@@ -447,12 +447,15 @@ def test_kernels_match_frozen_kernels_bit_for_bit(lattice, name):
 
 @pytest.mark.parametrize("name", PINNED)
 def test_kernels_match_frozen_kernels_on_the_model_system(name):
-    # the d = 1 system and start of the convergence study, at its coarsest h,
-    # and the rest state (+0, -0), which every method keeps at p = -0 (g(+0)
-    # is -0), so each step's rounding of zero signs is pinned
-    sys_ = coupled_oscillator_build(2.0)
-    for state0 in (State(0.0, [1.0], [0.5]), State(0.0, [0.0], [-0.0])):
-        _assert_pinned(sys_, frozen_model_slow_force, state0, name, 0.1, 100)
+    # the d = 1 system and start of the convergence study, at its coarsest
+    # and its finest h; the rest state (+0, -0), which every method keeps at
+    # p = -0 (g(+0) is -0), so each step's rounding of zero signs is pinned;
+    # and omega = 50 at h = 0.03, where midpoint-full iterates longest
+    start, rest = State(0.0, [1.0], [0.5]), State(0.0, [0.0], [-0.0])
+    for omega, state0, h, n_steps in ((2.0, start, 0.1, 100), (2.0, rest, 0.1, 100),
+                                      (2.0, start, 0.0125, 800), (50.0, start, 0.03, 100)):
+        sys_ = coupled_oscillator_build(omega)
+        _assert_pinned(sys_, frozen_model_slow_force, state0, name, h, n_steps)
 
 
 @pytest.mark.parametrize("ell", [1, 3, 1000])

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscint import steppers
 from oscint.analysis import propagation_matrix
@@ -577,3 +579,64 @@ class TestUnboundForce:
         traj = integrate(_unbindable(fpu_sys, traced), StepperSpec(Method.SV, h=0.01),
                          fpu_state0, 0.995)
         assert len(traj.times) - 1 == 100 and len(calls) == 101
+
+
+FLOAT_CASES = [(m, 1) for m in ALL_METHODS if m is not Method.RESPA] + [
+    (Method.RESPA, 10), (Method.RESPA, 100)]
+# finite starts with both zeros, subnormals and squares or products that overflow
+START = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e-200, 1e154, -1e200, 1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _run_kernel(sys_, method, h, substeps, z, n_steps):
+    """Step the kernel bound to z[0] and z[1] up to n_steps times, stopping
+    as integrate does.  Returns the kernel, the state after each step and
+    how the run ended: None, (step, "cap") or (step, NoConvergence's
+    iteration count), a NoConvergence leaving the state as it was."""
+    q, p = z
+    kernel = _kernel(sys_, method, h, q, p, substeps)
+    states = []
+    for n in range(1, n_steps + 1):
+        before = z.copy()
+        try:
+            kernel()
+        except NoConvergence as exc:
+            assert np.array_equal(z, before) and np.array_equal(np.signbit(z), np.signbit(before))
+            return kernel, states, (n, exc.iterations)
+        states.append(z.copy())
+        if not np.abs(z).max() <= steppers.BLOWUP_NORM_CAP:
+            return kernel, states, (n, "cap")
+    return kernel, states, None
+
+
+class TestFloatKernels:
+    """One state of one axis steps in Python floats when the slow force has
+    a float form; each step is bit for bit the array kernels' on a block."""
+
+    @pytest.mark.parametrize("method,substeps", FLOAT_CASES,
+                             ids=[f"{m.value}-{n}" for m, n in FLOAT_CASES])
+    @given(q0=START, p0=START, h=st.floats(-0.5, 0.5), omega=st.floats(0.0, 1e4))
+    @settings(max_examples=60)
+    def test_float_kernel_matches_array_kernel_on_a_block(self, method, substeps, q0, p0, h, omega):
+        sys_ = coupled_oscillator_build(omega)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                # z[0] is q and z[1] is p: shape (1,) each, or a (1, 1) block
+                got_kernel, got, got_end = _run_kernel(
+                    sys_, method, h, substeps, np.array([[q0], [p0]]), 20)
+                want_kernel, want, want_end = _run_kernel(
+                    sys_, method, h, substeps, np.array([[[q0]], [[p0]]]), 20)
+        assert "_float_kernel" in got_kernel.__qualname__
+        assert "_float_kernel" not in want_kernel.__qualname__
+        assert got_end == want_end and len(got) == len(want)
+        # A NaN (only ever in the last, blow-up state) may differ in sign:
+        # where both operands of an add are NaN, numpy's in-place add on one
+        # element returns the second, on more elements and in floats the first
+        for z_got, z_want in zip(got, want):
+            z_got, z_want = z_got.ravel(), z_want.ravel()
+            assert np.array_equal(z_got, z_want, equal_nan=True)
+            signed = ~np.isnan(z_want)
+            assert np.array_equal(np.signbit(z_got[signed]), np.signbit(z_want[signed]))

@@ -8,7 +8,9 @@ alternate between them, case by case, so a before/after pair shares the
 machine's state.  A method case is integrate at stride 1e9 (no samples
 recorded) at h = 0.01 on two systems: the ell=3 lattice at omega = 50 from
 its canonical start, and the convergence study's d=1 model system at
-omega = 2 from (q, p) = (1, 0.5); RESPA takes 10 substeps.  Two more cases
+omega = 2 from (q, p) = (1, 0.5); RESPA takes 10 substeps.  The model
+rows time the Python-float kernels that one-axis runs take (see
+oscint.steppers), the lattice rows the array kernels.  Two more cases
 time the loops inside the model-sweep commands:
   - sweep: the resonance sweep's matrix loop per step, on the 900 rows
     (RESPA and IMEX at 450 frequencies) of the CLI defaults;
@@ -77,7 +79,9 @@ def us_per_fixed_point_iteration(oscint) -> float:
 
     A step evaluates the slow force once per iteration and once more at
     the converged midpoint, so an untimed run with a counting force (a
-    plain callable, computing the same -q) gives the iteration count."""
+    plain callable, computing the same -q) gives the iteration count.  That
+    force has no float form, so the counting run takes the array kernel,
+    which iterates exactly as the timed float kernel does."""
     sys_, state0 = system_and_start(oscint, "model")
     n = STEPS["midpoint-full"]
     calls = []
