@@ -70,8 +70,10 @@ BLOWUP = "blowup"
 
 # A kernel is bound to one run's buffers q and p and advances them in place
 # each time it is called: by a whole step, or by an inner map of one (a
-# drift, a fast flow, RESPA's substeps).
-Kernel = Callable[[], None]
+# drift, a fast flow, RESPA's substeps).  It returns None, or, if it tests
+# the new state itself (_float_kernel), whether every component lies within
+# BLOWUP_NORM_CAP.
+Kernel = Callable[[], bool | None]
 
 
 def _scratch(like: np.ndarray, n: int) -> list[np.ndarray]:
@@ -358,7 +360,9 @@ def _float_kernel(
     slow force's float form (module docstring).  Each map does its array
     kernel's operations in order on the same operands and constants, so it
     rounds as they do.  x and v carry the state between calls, as the half
-    kick is carried, and each call writes q[0] and p[0]."""
+    kick is carried, and each call writes q[0] and p[0] and returns whether
+    both lie within BLOWUP_NORM_CAP (False for a NaN), integrate's blow-up
+    test made on the floats (see Kernel)."""
     w2, x, v = sys.w2.item(), q.item(), p.item()
     if method is Method.MIDPOINT_FULL:
         # at one element the dot pre-test decides as the exact test does, and
@@ -405,11 +409,14 @@ def _float_kernel(
                 return (cos_num * y + h * u) / denom, (cos_num * u - h_w2 * y) / denom
         step = _float_kick_drift_kick(g, inner, h, x)
 
+    cap = BLOWUP_NORM_CAP
+
     def kernel():
         nonlocal x, v
         x, v = step(x, v)
         q[0] = x
         p[0] = v
+        return abs(x) <= cap and abs(v) <= cap
 
     return kernel
 
@@ -601,14 +608,18 @@ def integrate(
         kernel = _kernel(sys, spec.method, spec.h, q, p, spec.substeps)
         for n in range(1, n_steps + 1):
             try:
-                kernel()
+                within = kernel()
             except NoConvergence as exc:
                 z.fill(np.nan)
                 cause = str(exc)
             else:
+                # a kernel that tests itself returns the decision; otherwise
                 # z.z <= cap^2 bounds every component by the cap (NaN and
-                # overflow fail it); only a failing state pays for the exact test
-                if zdot(z) <= cap2 or np.abs(z).max() <= cap:
+                # overflow fail it), and only a failing state pays for the
+                # exact test
+                if within is None:
+                    within = zdot(z) <= cap2 or np.abs(z).max() <= cap
+                if within:
                     if n % stride == 0:
                         zs[rows], steps[rows] = z, n
                         rows += 1

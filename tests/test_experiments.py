@@ -1,9 +1,12 @@
 """Unit tests for the experiment drivers."""
+import errno
 import math
+import os
 
 import numpy as np
 import pytest
 
+from oscint import cli, experiments
 from oscint.analysis import max_energy_error
 from oscint.experiments import (
     convergence_study,
@@ -84,6 +87,102 @@ class TestResonanceSweep:
         # one step, but the grid's omega = pi/h overflows
         with pytest.raises(ValueError, match="largest omega"):
             resonance_sweep(h=5e-324, t_end=5e-324, grid=1.0, sweep_max=1.0)
+
+
+class TestSweepFork:
+    """The sweep's loop in two processes where two CPUs are there: the
+    same rows bit for bit, and no child process left behind."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _cpus(monkeypatch, n):
+        """Let the sweep see n CPUs; returns the list its forks append to."""
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+        def counting_fork():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return forks
+
+    @pytest.mark.parametrize("kwargs", [
+        {},  # the CLI defaults, 900 rows
+        dict(grid=0.01, sweep_max=0.07, t_end=10.0),  # 7 grid points
+        dict(h=0.1, substeps=1, t_end=1000.0),  # 387 impulse rows overflow
+    ], ids=["defaults", "odd-grid", "overflow"])
+    def test_two_cpus_fork_once_with_the_same_rows(self, monkeypatch, kwargs):
+        rows = {}
+        for cpus in (1, 2):
+            forks = self._cpus(monkeypatch, cpus)
+            rows[cpus] = resonance_sweep(**kwargs)
+            assert len(forks) == cpus - 1
+        # SweepRow's == compares the float fields; array_equal on the
+        # errors, which are never NaN, reads the same
+        assert rows[1] == rows[2]
+
+    def test_odd_row_count_split_within_a_method(self, monkeypatch):
+        # 999 random rows: the split falls inside one block of rows, and
+        # over half the rows diverge to the cap
+        rng = np.random.default_rng(3)
+        n = 999
+        spring = rng.uniform(0.5, 2e4, size=n)
+        args = (rng.uniform(-1.5, 1.5, size=(n, 2, 2)), spring, 200, 1.0 / np.sqrt(spring))
+        forks = self._cpus(monkeypatch, 2)
+        got = experiments._max_energy_errors(*args)
+        assert len(forks) == 1
+        assert np.array_equal(got, experiments._linear_max_energy_errors(*args, 0.0))
+
+    def test_failed_fork_runs_every_row_here(self, monkeypatch):
+        kwargs = dict(grid=0.25, sweep_max=1.0, t_end=50.0)
+        want = resonance_sweep(**kwargs)
+
+        def failing_fork():
+            raise OSError(errno.EAGAIN, "no process")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", failing_fork)
+        assert resonance_sweep(**kwargs) == want
+
+    @staticmethod
+    def _loop_raising_in(monkeypatch, child, exc):
+        """Make the sweep's loop raise exc in the child process (child) or
+        in this one (not child)."""
+        parent, loop = os.getpid(), experiments._linear_max_energy_errors
+
+        def loop_raising(*args):
+            if (os.getpid() != parent) == child:
+                raise exc
+            return loop(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(experiments, "_linear_max_energy_errors", loop_raising)
+
+    def test_failed_child_is_a_clean_cli_error(self, monkeypatch, tmp_path, capsys):
+        self._loop_raising_in(monkeypatch, True, MemoryError())
+        with pytest.raises(OSError, match="child process failed"):
+            resonance_sweep(grid=0.25, sweep_max=1.0, t_end=50.0)
+        out = tmp_path / "sweep.csv"
+        argv = ["resonance-sweep", "--grid", "0.25", "--max", "1.0", "--t-end", "50",
+                "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("oscint: error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, ValueError])
+    def test_parent_exception_reaps_the_child(self, monkeypatch, exc):
+        # the child is killed and reaped before the exception goes on
+        # (no_child_left); the child's loop would run for seconds
+        self._loop_raising_in(monkeypatch, False, exc())
+        with pytest.raises(exc):
+            resonance_sweep(grid=0.01, sweep_max=4.5, t_end=10000.0)
 
 
 class TestFpuExchange:

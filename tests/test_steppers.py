@@ -592,28 +592,48 @@ START = st.one_of(
 
 def _run_kernel(sys_, method, h, substeps, z, n_steps):
     """Step the kernel bound to z[0] and z[1] up to n_steps times, stopping
-    as integrate does.  Returns the kernel, the state after each step and
-    how the run ended: None, (step, "cap") or (step, NoConvergence's
-    iteration count), a NoConvergence leaving the state as it was."""
+    as integrate does.  Returns the kernel, the state after each step, each
+    call's return paired with the exact cap test of its state, and how the
+    run ended: None, (step, "cap") or (step, NoConvergence's iteration
+    count), a NoConvergence leaving the state as it was."""
     q, p = z
     kernel = _kernel(sys_, method, h, q, p, substeps)
-    states = []
+    states, tests = [], []
     for n in range(1, n_steps + 1):
         before = z.copy()
         try:
-            kernel()
+            within = kernel()
         except NoConvergence as exc:
             assert np.array_equal(z, before) and np.array_equal(np.signbit(z), np.signbit(before))
-            return kernel, states, (n, exc.iterations)
+            return kernel, states, tests, (n, exc.iterations)
         states.append(z.copy())
-        if not np.abs(z).max() <= steppers.BLOWUP_NORM_CAP:
-            return kernel, states, (n, "cap")
-    return kernel, states, None
+        exact = bool(np.abs(z).max() <= steppers.BLOWUP_NORM_CAP)
+        tests.append((within, exact))
+        if not exact:
+            return kernel, states, tests, (n, "cap")
+    return kernel, states, tests, None
 
 
 class TestFloatKernels:
     """One state of one axis steps in Python floats when the slow force has
     a float form; each step is bit for bit the array kernels' on a block."""
+
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=[m.value for m in ALL_METHODS])
+    def test_cap_boundary_decided_as_on_the_array_path(self, method):
+        # steps of 1e-20 leave a state at the cap where it is: one there is
+        # kept, one a ulp past it stops the run at its first step, whether
+        # the float kernel tests itself or integrate tests the array kernel
+        sys_ = coupled_oscillator_build(2.0)
+        plain = _unbindable(sys_, lambda x: sys_.slow_force(x))
+        cap = steppers.BLOWUP_NORM_CAP
+        spec = StepperSpec(method, h=1e-20)
+        for p0, status in ((cap, COMPLETED), (np.nextafter(cap, np.inf), BLOWUP)):
+            start = State(0.0, [cap], [p0])
+            got, want = (integrate(s, spec, start, 2.5e-20) for s in (sys_, plain))
+            assert got.status == want.status == status
+            assert got.t_blowup == want.t_blowup
+            assert np.array_equal(got.qs, want.qs) and np.array_equal(got.ps, want.ps)
+            assert len(got.times) == (4 if status == COMPLETED else 2)
 
     @pytest.mark.parametrize("method,substeps", FLOAT_CASES,
                              ids=[f"{m.value}-{n}" for m, n in FLOAT_CASES])
@@ -625,13 +645,17 @@ class TestFloatKernels:
             warnings.simplefilter("error")
             with np.errstate(over="ignore", invalid="ignore"):
                 # z[0] is q and z[1] is p: shape (1,) each, or a (1, 1) block
-                got_kernel, got, got_end = _run_kernel(
+                got_kernel, got, got_tests, got_end = _run_kernel(
                     sys_, method, h, substeps, np.array([[q0], [p0]]), 20)
-                want_kernel, want, want_end = _run_kernel(
+                want_kernel, want, want_tests, want_end = _run_kernel(
                     sys_, method, h, substeps, np.array([[[q0]], [[p0]]]), 20)
         assert "_float_kernel" in got_kernel.__qualname__
         assert "_float_kernel" not in want_kernel.__qualname__
         assert got_end == want_end and len(got) == len(want)
+        # the float kernel makes integrate's cap test itself, exactly; the
+        # array kernel leaves it to integrate
+        assert all(type(within) is bool and within == exact for within, exact in got_tests)
+        assert all(within is None for within, _ in want_tests)
         # A NaN (only ever in the last, blow-up state) may differ in sign:
         # where both operands of an add are NaN, numpy's in-place add on one
         # element returns the second, on more elements and in floats the first

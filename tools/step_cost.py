@@ -10,10 +10,14 @@ recorded) at h = 0.01 on two systems: the ell=3 lattice at omega = 50 from
 its canonical start, and the convergence study's d=1 model system at
 omega = 2 from (q, p) = (1, 0.5); RESPA takes 10 substeps.  The model
 rows time the Python-float kernels that one-axis runs take (see
-oscint.steppers), the lattice rows the array kernels.  Two more cases
-time the loops inside the model-sweep commands:
-  - sweep: the resonance sweep's matrix loop per step, on the 900 rows
-    (RESPA and IMEX at 450 frequencies) of the CLI defaults;
+oscint.steppers), the lattice rows the array kernels.  Three more cases
+time the model-sweep commands and the loops inside them:
+  - sweep 900 rows: the resonance sweep's matrix loop per step, in one
+    process, on the 900 rows (RESPA and IMEX at 450 frequencies) of the
+    CLI defaults;
+  - sweep resonance_sweep(): the whole sweep at the CLI defaults per step
+    of its 10^4, end to end: its matrices, and the loop in two processes
+    where the sweep forks one (see oscint.experiments);
   - model midpoint-full/iter: the model midpoint-full run's time per
     fixed-point iteration, the iterations counted in an untimed run.
 The table gives the median and quartiles over the repeats.
@@ -116,6 +120,13 @@ def us_per_sweep_step(oscint) -> float:
     return (time.perf_counter() - start) / SWEEP_STEPS * 1e6
 
 
+def us_per_resonance_sweep_step(oscint) -> float:
+    start = time.perf_counter()
+    oscint.resonance_sweep()
+    # the defaults: h = 0.1, t_end = 1000
+    return (time.perf_counter() - start) / 10 ** 4 * 1e6
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", nargs="*", type=Path,
@@ -127,6 +138,7 @@ def main() -> None:
     cases = {(s, m): partial(us_per_step, system=s, method=m) for s in SYSTEMS for m in METHODS}
     cases["model", "midpoint-full/iter"] = us_per_fixed_point_iteration
     cases["sweep", "900 rows"] = us_per_sweep_step
+    cases["sweep", "resonance_sweep()"] = us_per_resonance_sweep_step
     times = {(i, c): [] for i in range(len(packages)) for c in cases}
     for r in range(args.repeats):
         for case, timer in cases.items():
