@@ -63,7 +63,7 @@ MAX_STEPS = 10 ** 8
 
 # the ufuncs of the per-step calls (see the module docstring)
 _add, _subtract, _multiply, _divide = np.add, np.subtract, np.multiply, np.divide
-_absolute, _isfinite, _max = np.absolute, np.isfinite, np.maximum.reduce
+_absolute, _isfinite, _max, _copyto = np.absolute, np.isfinite, np.maximum.reduce, np.copyto
 
 COMPLETED = "completed"
 BLOWUP = "blowup"
@@ -271,59 +271,36 @@ def _midpoint_full_kernel(sys: OscillatorySystem, h: float, q: np.ndarray, p: np
     q and p are left as they were.  FP_TOL and FP_MAX_ITER are read when
     the kernel is bound.
 
-    The iterates ping-pong between two buffers, each with its own bound
-    total force, so no iterate is written over its predecessor.  The
-    max-norm test is decided by s = diff.diff, one dot over the n elements
-    of the change, wherever s settles it.  For nonnegative terms the
-    computed s is within a relative n*eps of the exact sum of squares, and
-    the exact sum lies between max|diff|^2 and n max|diff|^2.  So
-    s <= FP_TOL^2/2 proves max|diff| < FP_TOL, and s > 2 n FP_TOL^2 proves
-    max|diff| > FP_TOL; only s between the two, or NaN, runs the exact
-    max-norm test, and every decision, iteration count and iterate is the
-    exact test's.  The bounds are used only where FP_TOL^2 is a normal
-    number far above the squares' underflow; otherwise every test is exact.
-    An inf or NaN in either iterate makes the change, and so s, inf or NaN,
-    so a finite s proves a finite iterate, and only a non-finite s, on a
-    failed test, checks the iterate with isfinite (a finite iterate whose
-    change squares to overflow goes on).  A diverging iteration overflows on
-    the way; the kernel enters no np.errstate, its callers silence it
-    (integrate once per run, _step_once once per step).
+    A failed test raises NoConvergence when m_next is not finite.  A finite
+    change needs no such check: m_next - m is finite only where both are,
+    so only an inf or NaN change checks m_next with isfinite (a finite
+    iterate whose change overflows goes on).  A diverging iteration
+    overflows on the way; the kernel enters no np.errstate, its callers
+    silence it (integrate once per run, _step_once once per step).
     """
     h, half_h, quarter_h2, two = (_operand(c, q) for c in (h, 0.5 * h, 0.25 * h * h, 2.0))
-    ma, mb, base, f, t1, diff = _scratch(q, 6)
+    m, m_next, base, f, t1, diff = _scratch(q, 6)
     # the change of a block of states is tested over every axis
     diff_flat = diff.reshape(-1)
     delta = np.empty(diff.size)
-    dot = diff_flat.dot
-    # s <= below proves convergence and s > above disproves it (docstring)
     tol, max_iter = FP_TOL, FP_MAX_ITER
-    tol2 = tol * tol
-    below, above = (
-        (0.5 * tol2, 2.0 * diff.size * tol2) if tol > 0.0 and tol2 >= 1e-290 else (-1.0, math.inf))
     finite = np.empty(q.shape, dtype=bool)
-    force_a = _bind_total_force(sys, ma, f)
-    force_b = _bind_total_force(sys, mb, f)
+    force_m = _bind_total_force(sys, m, f)
 
     def kernel():
         _multiply(half_h, p, t1)
         _add(q, t1, base)
-        _add(q, t1, ma)
-        m, force_m, m_next, force_next = ma, force_a, mb, force_b
+        _add(q, t1, m)
         for i in range(max_iter):
             force_m()
             _multiply(quarter_h2, f, t1)
             _add(base, t1, m_next)
             _subtract(m_next, m, diff)
-            s = dot(diff_flat)
-            if s <= below:
-                done = True
-            elif s > above:
-                done = False
-            else:  # between the bounds, or NaN: the exact test
-                done = _max(_absolute(diff_flat, delta)) <= tol
-            if not done and not math.isfinite(s) and not _isfinite(m_next, finite).all():
+            change = _max(_absolute(diff_flat, delta))
+            done = change <= tol
+            if not done and not math.isfinite(change) and not _isfinite(m_next, finite).all():
                 raise NoConvergence(i + 1)
-            m, force_m, m_next, force_next = m_next, force_next, m, force_m
+            _copyto(m, m_next)
             if done:
                 break
         else:
@@ -365,7 +342,6 @@ def _float_kernel(
     test made on the floats (see Kernel)."""
     w2, x, v = sys.w2.item(), q.item(), p.item()
     if method is Method.MIDPOINT_FULL:
-        # at one element the dot pre-test decides as the exact test does, and
         # a failed test raises NoConvergence exactly when m_next is not finite
         half_h, quarter_h2, tol, max_iter = 0.5 * h, 0.25 * h * h, FP_TOL, FP_MAX_ITER
 

@@ -1,9 +1,15 @@
-"""End-to-end tests of the command-line harness through a real subprocess,
-of its CSV row formatting, and a property test of main() in process."""
+"""End-to-end tests of the command-line harness, of its CSV row formatting,
+and a property test of main().
+
+The commands run main(argv) in process (run_cli); a subprocess runs where a
+process is the subject: the import guard, and the work bounds, whose
+`python -m oscint` runs also cover the module entry point."""
+import io
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +31,17 @@ def _env():
     return env
 
 
-def run_cli(*args, timeout=300):
+def run_cli(*args):
+    """main(args) in process, as a CompletedProcess with its exit code and
+    captured stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(list(args))
+    return subprocess.CompletedProcess(["oscint", *args], code, stdout.getvalue(), stderr.getvalue())
+
+
+def run_module(*args, timeout):
+    """`python -m oscint args` in a subprocess."""
     return subprocess.run(
         [sys.executable, "-m", "oscint", *args],
         capture_output=True,
@@ -198,11 +214,11 @@ class TestFpuExchange:
     )
     def test_bad_window_is_config_error(self, tmp_path, window, reference):
         # rejected before any step: the reference run alone would take about
-        # a minute, past the timeout
+        # a minute
         out = tmp_path / "x.csv"
         proc = run_cli(
             "fpu-exchange", "--t-end", "2000", *reference, f"--window={window}",
-            "--out", str(out), timeout=30,
+            "--out", str(out),
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("oscint: error: window")
@@ -242,7 +258,7 @@ def test_unbounded_work_is_config_error(tmp_path, args):
     # each would allocate terabytes or step for days; the work bound is
     # checked up front, so the command fails within seconds
     out = tmp_path / "x.csv"
-    proc = run_cli(*args, "--out", str(out), timeout=60)
+    proc = run_module(*args, "--out", str(out), timeout=60)
     assert proc.returncode == 1
     assert proc.stderr.startswith("oscint: error: ")
     assert "takes more than" in proc.stderr

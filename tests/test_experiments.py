@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oscint import cli, experiments
-from oscint.analysis import max_energy_error
+from oscint.analysis import max_energy_error, propagation_matrix
 from oscint.experiments import (
     convergence_study,
     fpu_exchange,
@@ -75,6 +75,33 @@ class TestResonanceSweep:
         row = sweep_rows[36]  # r = 0.37
         assert 0.0 < row.err_respa < 1.0
         assert 0.0 < row.err_imex < 1.0
+
+    def test_imex_rows_match_the_closed_form_orbit(self, sweep_rows):
+        # For a 2x2 map M with det 1 and |tr| < 2, with theta = arccos(tr/2),
+        # M^n = cos(n theta) I + (sin(n theta)/sin theta)(M - cos(theta) I).
+        # So from z0 = (q0, 0), with w = (M - cos(theta) I) z0 / sin(theta),
+        # H_n - H_0 = sin^2(n theta)(H(w) - H(z0)) + sin(2 n theta) B(z0, w),
+        # B being H's bilinear form: the flat IMEX curve with no loop.
+        # Worst measured 2.1e-9 relative (median 3.0e-10) against the loop.
+        h = 0.1
+        n_steps = math.ceil(1000.0 / h)  # the defaults: t_end = 1000
+        omegas = np.array([row.omega for row in sweep_rows])
+        mats = propagation_matrix(StepperSpec(Method.IMEX, h), omegas)
+        (a, _), (c, d) = np.moveaxis(mats, 0, -1)
+        assert np.all(np.abs(a + d) < 2.0)
+        theta = np.arccos((a + d) / 2.0)
+        spring = 1.0 + omegas ** 2
+        q0 = 1.0 / np.sqrt(spring)
+        wq, wp = (a - np.cos(theta)) * q0 / np.sin(theta), c * q0 / np.sin(theta)
+        dh = 0.5 * (spring * wq * wq + wp * wp) - 0.5 * spring * q0 * q0
+        bilinear = 0.5 * spring * q0 * wq
+        want = np.zeros(omegas.size)
+        for start in range(1, n_steps + 1, 1000):  # blocks of 1000 steps
+            angle = np.arange(start, min(start + 1000, n_steps + 1))[:, np.newaxis] * theta
+            errs = np.abs(np.sin(angle) ** 2 * dh + np.sin(2.0 * angle) * bilinear)
+            want = np.maximum(want, errs.max(axis=0))
+        got = np.array([row.err_imex for row in sweep_rows])
+        assert np.all(np.abs(got - want) <= 1e-8 * got)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -17,10 +17,10 @@ negations (RESPA's substeps kick with (-w2) q and add where the frozen
 loop multiplies by w2 and subtracts), so they are pinned bit for bit
 (np.array_equal; the kernel pins compare sign bits too, since array_equal
 takes -0.0 == 0.0).  The sweep loop, which evaluates energies per block of
-steps, is pinned at step counts around the block size; midpoint-full, whose
-stopping test is decided by a one-dot pre-test where that can, is pinned
-where only the exact test decides, on a basis block, and where the squares
-of a finite change overflow.
+steps, is pinned at step counts around the block size; midpoint-full is
+pinned where its change sits at the tolerance, on a basis block, and on
+its no-convergence and overflow paths, each through the float kernel of a
+one-axis state and through the array kernel that a plain force takes.
 
 The module also keeps the one map that production no longer carries:
 Stormer-Verlet with a mass matrix (verlet_with_mass_step), against which
@@ -36,6 +36,8 @@ lattice is chaotic, so roundoff grows along a run.  Started one ulp apart
 over 1e3 steps at h = 0.01, but by up to 4.9e-13 (RESPA, 10 substeps) at
 h = 0.03, where a 1e-13 bound could not tell a correct map from a wrong one.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -486,7 +488,22 @@ def test_bound_fpu_force_matches_frozen_force_bit_for_bit(ell):
         assert np.array_equal(out, want_force(x))
 
 
-def test_midpoint_full_no_convergence_matches_frozen_kernel(model50, monkeypatch):
+def _on_path(sys_, path, h):
+    """The one-axis model system sys_ as it is (path "float": its force has
+    a float form) or with the plain force -x, which has none (path "array"),
+    checked to bind the kernel of that path."""
+    if path == "array":
+        sys_ = dataclasses.replace(sys_, slow_force=lambda x: -x)
+    kernel = steppers._kernel(sys_, Method.MIDPOINT_FULL, h, np.zeros(1), np.zeros(1))
+    assert ("_float_kernel" in kernel.__qualname__) == (path == "float")
+    return sys_
+
+
+MIDPOINT_PATHS = ["float", "array"]
+
+
+@pytest.mark.parametrize("path", MIDPOINT_PATHS)
+def test_midpoint_full_no_convergence_matches_frozen_kernel(model50, monkeypatch, path):
     # past its contraction limit the iteration fails after the same
     # number of iterations, and the step leaves its input untouched
     frozen = frozen_midpoint_full_kernel(frozen_model_slow_force, model50.w2, 0.05, 1e-12, 17)
@@ -495,16 +512,17 @@ def test_midpoint_full_no_convergence_matches_frozen_kernel(model50, monkeypatch
         frozen(s0.q, s0.p, None)
     monkeypatch.setattr(steppers, "FP_MAX_ITER", 17)
     with pytest.raises(NoConvergence) as got:
-        step_midpoint_full(model50, s0, 0.05)
+        step_midpoint_full(_on_path(model50, path, 0.05), s0, 0.05)
     assert got.value.iterations == want.value.iterations
     assert s0.q[0] == 1.0 and s0.p[0] == 0.0
 
 
 def test_midpoint_full_change_in_the_exact_test_band_matches_frozen_kernel(lattice, monkeypatch):
     # FP_TOL is set to the max norm of the third change, and to the float
-    # below it.  That change's s = diff.diff then lies between the
-    # pre-test's bounds, so the exact max-norm test decides: the step stops
-    # at the third iteration at the first tolerance and goes on at the second
+    # below it: the step stops at the third iteration at the first tolerance
+    # and goes on at the second.  That change's s = diff.diff lies between
+    # FP_TOL^2/2 and 2 n FP_TOL^2, where a sum of squares cannot decide a
+    # max-norm test, so the pin holds only for a test exact at the tolerance
     sys_, state0 = lattice
     force = frozen_fpu_slow_force(ELL)
     changes = frozen_midpoint_changes(force, sys_.w2, H, state0.q, state0.p, 3)
@@ -529,7 +547,7 @@ def test_midpoint_full_change_in_the_exact_test_band_matches_frozen_kernel(latti
 
 def test_midpoint_full_basis_block_matches_frozen_kernel():
     # propagation_matrix steps a (2, d) block of basis states; the stopping
-    # rule's norm, and so the pre-test's dot, runs over all 2 d elements
+    # rule's max norm runs over all 2 d elements
     h = 0.1
     omegas = np.array([0.5, 1.0, 2.0, 5.0, 10.0])
     sys_ = coupled_oscillator_build(omegas)
@@ -541,7 +559,8 @@ def test_midpoint_full_basis_block_matches_frozen_kernel():
     _assert_same(got, want)
 
 
-def test_midpoint_full_overflowing_change_matches_frozen_no_convergence():
+@pytest.mark.parametrize("path", MIDPOINT_PATHS)
+def test_midpoint_full_overflowing_change_matches_frozen_no_convergence(path):
     # past the contraction limit ((h^2/4)(1 + omega^2) = 25) from q = 1e200,
     # the changes (~1e200 and growing) overflow their sum of squares while
     # the iterates stay finite, so the iteration must go on until an
@@ -555,9 +574,27 @@ def test_midpoint_full_overflowing_change_matches_frozen_no_convergence():
     with pytest.raises(NoConvergence) as want:
         frozen_midpoint_full_kernel(frozen_model_slow_force, sys_.w2, h)(q0, p0, None)
     with pytest.raises(NoConvergence) as got:
-        step_midpoint_full(sys_, State(0.0, q0, p0), h)
+        step_midpoint_full(_on_path(sys_, path, h), State(0.0, q0, p0), h)
     assert got.value.iterations == want.value.iterations
     assert 20 < got.value.iterations < steppers.FP_MAX_ITER
+
+
+@pytest.mark.parametrize("path", MIDPOINT_PATHS)
+def test_midpoint_full_change_overflowing_itself_matches_frozen_no_convergence(path):
+    # with (h^2/4)(1 + omega^2) = 1.5 from q = 1e308 the iterates alternate
+    # in sign: the second, 1.75e308, is finite while its change, 2.25e308,
+    # overflows, so the iteration goes on, and stops at the third iterate,
+    # which overflows, as in the frozen kernel
+    sys_ = coupled_oscillator_build(0.0)
+    h = np.sqrt(6.0)
+    q0, p0 = np.array([1e308]), np.array([0.0])
+    changes = frozen_midpoint_changes(frozen_model_slow_force, sys_.w2, h, q0, p0, 2)
+    assert np.isfinite(changes[0]).all() and np.isinf(changes[1]).all()
+    with pytest.raises(NoConvergence) as want:
+        frozen_midpoint_full_kernel(frozen_model_slow_force, sys_.w2, h)(q0, p0, None)
+    with pytest.raises(NoConvergence) as got:
+        step_midpoint_full(_on_path(sys_, path, h), State(0.0, q0, p0), h)
+    assert got.value.iterations == want.value.iterations == 3
 
 
 def basis_state_matrices(step, d):

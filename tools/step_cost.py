@@ -10,16 +10,17 @@ recorded) at h = 0.01 on two systems: the ell=3 lattice at omega = 50 from
 its canonical start, and the convergence study's d=1 model system at
 omega = 2 from (q, p) = (1, 0.5); RESPA takes 10 substeps.  The model
 rows time the Python-float kernels that one-axis runs take (see
-oscint.steppers), the lattice rows the array kernels.  Three more cases
-time the model-sweep commands and the loops inside them:
+oscint.steppers), the lattice rows the array kernels.  On each system,
+midpoint-full/iter is the midpoint-full run's time per fixed-point
+iteration, the iterations counted in an untimed run, so that a change in
+the cost of one iteration reads apart from a change in their number.  Two
+more cases time the model-sweep commands and the loops inside them:
   - sweep 900 rows: the resonance sweep's matrix loop per step, in one
     process, on the 900 rows (RESPA and IMEX at 450 frequencies) of the
     CLI defaults;
   - sweep resonance_sweep(): the whole sweep at the CLI defaults per step
     of its 10^4, end to end: its matrices, and the loop in two processes
-    where the sweep forks one (see oscint.experiments);
-  - model midpoint-full/iter: the model midpoint-full run's time per
-    fixed-point iteration, the iterations counted in an untimed run.
+    where the sweep forks one (see oscint.experiments).
 The table gives the median and quartiles over the repeats.
 """
 from __future__ import annotations
@@ -78,15 +79,16 @@ def us_per_step(oscint, system: str, method: str) -> float:
     return run_seconds(oscint, sys_, state0, method, n) / n * 1e6
 
 
-def us_per_fixed_point_iteration(oscint) -> float:
-    """midpoint-full on the model system, per fixed-point iteration.
+def us_per_fixed_point_iteration(oscint, system: str) -> float:
+    """midpoint-full on the system, per fixed-point iteration.
 
     A step evaluates the slow force once per iteration and once more at
     the converged midpoint, so an untimed run with a counting force (a
-    plain callable, computing the same -q) gives the iteration count.  That
-    force has no float form, so the counting run takes the array kernel,
-    which iterates exactly as the timed float kernel does."""
-    sys_, state0 = system_and_start(oscint, "model")
+    plain callable, computing the same values) gives the iteration count.
+    That force has no float form, so on the model system the counting run
+    takes the array kernel, which iterates exactly as the timed float
+    kernel does."""
+    sys_, state0 = system_and_start(oscint, system)
     n = STEPS["midpoint-full"]
     calls = []
 
@@ -136,7 +138,8 @@ def main() -> None:
     packages = [load(src.resolve(), f"oscint_{i}") for i, src in enumerate(args.src)]
     # (system, label) -> the case's timer, given one package
     cases = {(s, m): partial(us_per_step, system=s, method=m) for s in SYSTEMS for m in METHODS}
-    cases["model", "midpoint-full/iter"] = us_per_fixed_point_iteration
+    for s in SYSTEMS:
+        cases[s, "midpoint-full/iter"] = partial(us_per_fixed_point_iteration, system=s)
     cases["sweep", "900 rows"] = us_per_sweep_step
     cases["sweep", "resonance_sweep()"] = us_per_resonance_sweep_step
     times = {(i, c): [] for i in range(len(packages)) for c in cases}
