@@ -1,8 +1,9 @@
 """Command-line harness: run integrators and experiments, write CSV.
 
-Exit codes: 0 success, 1 configuration or file errors, 2 blow-up, 3 a
-requested acceptance check failed.  Floats are serialized with %.17g
-(round-trip exact), so identical configurations give byte-identical files.
+Exit codes: 0 success, 1 configuration or file errors, 2 blow-up (of the
+run, or of fpu-exchange's reference), 3 a requested acceptance check
+failed.  Floats are serialized with %.17g (round-trip exact), so identical
+configurations give byte-identical files.
 """
 from __future__ import annotations
 
@@ -166,6 +167,10 @@ def cmd_fpu_exchange(args) -> int:
     }
     if args.reference_h is not None:
         meta["reference_h"] = args.reference_h
+    reference = result.reference
+    reference_stopped = reference is not None and not reference.completed
+    if reference_stopped:
+        meta.update((f"reference_{key}", value) for key, value in _stop_meta(reference).items())
     names, stiff_columns = _stiff_columns(traj.stiff)
     header = ",".join(["t", *names, "H"])
     lines = [_meta_line(meta), header, *_rows([traj.times, *stiff_columns, traj.energies])]
@@ -173,7 +178,7 @@ def cmd_fpu_exchange(args) -> int:
         pairs = " ".join(f"I_{j + 1}={_fmt(float(v))}" for j, v in enumerate(result.sup_diffs))
         lines.append(f"# windowed_sup_diff {pairs} window={_fmt(args.window)}")
     _write_lines(args.out, lines)
-    return EXIT_OK if traj.completed else EXIT_BLOWUP
+    return EXIT_OK if traj.completed and not reference_stopped else EXIT_BLOWUP
 
 
 def cmd_convergence(args) -> int:

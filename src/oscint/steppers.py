@@ -30,21 +30,27 @@ module-level name such as _add, and its output buffer is passed
 positionally, _add(p, k, p) rather than np.add(p, k, out=p), which skips
 the keyword parsing and the attribute lookup on every call.
 
-Even so a ufunc call costs ~0.8 us, on one element as on a thousand, and a
-step makes 10-14.  So a one-axis state (q.shape == (1,)) whose slow force
-has a float form (SlowForce.float_form) steps in Python floats
-(_float_kernel), with the array kernel's operations in its order: Python
-rounds + - * / as numpy does, so every state is bit for bit the array
-kernels' (but for a NaN's sign, which numpy too picks by array size).
-Blocks (analysis.propagation_matrix), lattices and other forces take the
-array kernels.
+Even so a ufunc call costs ~0.3 us however short the state, and a step
+makes 10-20 of them for a few dozen flops.  So a single state
+(q.ndim == 1) of at most SCALAR_MAX_D axes whose slow force has scalar
+source (SlowForce.scalar_source) steps in Python floats, in straight-line
+code generated for the method, d and the force (_scalar_kernel): each
+array operation written out axis by axis, in the array kernel's order.
+Python rounds + - * / as numpy does, so every state is bit for bit the
+array kernels' (but for a NaN's sign, which numpy too picks by array
+size).  The lattice force's cube stays one np.power call, the one
+operation floats cannot copy.  Only straight-line code pays: a float step
+written with loops over the axes is slower than the arrays, and past
+SCALAR_MAX_D axes (measured, tools/step_cost.py) the arrays win.  Blocks
+(analysis.propagation_matrix), longer states and forces without scalar
+source take the array kernels.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -57,9 +63,15 @@ FP_TOL = 1e-12
 FP_MAX_ITER = 200
 # Work bound of one integrate run in steps times d, each RESPA substep
 # counted as a step; checked before anything is allocated.  It bounds a
-# stride-1 sample block to 1.6 GB, and the stepping to about 10 minutes at
-# d = 1 (~5 us a step) and seconds on the ell = 1e5 lattice (4-9 ms a step).
+# stride-1 sample block to 1.6 GB, and the stepping to at most about 2
+# minutes at d = 1 (0.3-1 us a step in generated float code, RESPA 0.1 us a
+# substep) and seconds on the ell = 1e5 lattice (4-9 ms a step).
 MAX_STEPS = 10 ** 8
+# Longest single state that steps in generated float code (_scalar_kernel):
+# the largest lattice d (of 2 to 16) at which it beat the array kernels in
+# at least 9 of 10 repeats of tools/step_cost.py, for Stormer-Verlet and
+# IMEX alike.
+SCALAR_MAX_D = 16
 
 # the ufuncs of the per-step calls (see the module docstring)
 _add, _subtract, _multiply, _divide = np.add, np.subtract, np.multiply, np.divide
@@ -71,8 +83,8 @@ BLOWUP = "blowup"
 # A kernel is bound to one run's buffers q and p and advances them in place
 # each time it is called: by a whole step, or by an inner map of one (a
 # drift, a fast flow, RESPA's substeps).  It returns None, or, if it tests
-# the new state itself (_float_kernel), whether every component lies within
-# BLOWUP_NORM_CAP.
+# the new state itself (a generated scalar kernel, _scalar_kernel), whether
+# every component lies within BLOWUP_NORM_CAP.
 Kernel = Callable[[], bool | None]
 
 
@@ -84,7 +96,7 @@ def _scratch(like: np.ndarray, n: int) -> list[np.ndarray]:
     one of its inputs, except where a step accumulates into q or p: numpy
     treats an in-place operation on a one-element array as a possible
     reduction and takes its slow buffered path (about 1 us a call), which
-    only a one-axis state whose force has no float form still pays.
+    only a one-axis state whose force has no scalar source still pays.
     """
     return [np.empty(like.shape) for _ in range(n)]
 
@@ -314,87 +326,132 @@ def _midpoint_full_kernel(sys: OscillatorySystem, h: float, q: np.ndarray, p: np
     return kernel
 
 
-def _float_kick_drift_kick(force, inner, h: float, x0: float):
-    """_kick_drift_kick on floats, as a map (x, v) -> (x, v); the carried
-    half kick is first evaluated at x0."""
-    half = 0.5 * h
-    k = half * force(x0)
-
-    def step(x, v):
-        nonlocal k
-        x, v = inner(x, v + k)
-        k = half * force(x)
-        return x, v + k
-
-    return step
-
-
-def _float_kernel(
-    sys: OscillatorySystem, g, method: Method, h: float, q: np.ndarray, p: np.ndarray,
+def _scalar_kernel(
+    sys: OscillatorySystem, method: Method, h: float, q: np.ndarray, p: np.ndarray,
     substeps: int,
-) -> Kernel:
-    """The method's kernel on a one-axis state in Python floats, g being the
-    slow force's float form (module docstring).  Each map does its array
-    kernel's operations in order on the same operands and constants, so it
-    rounds as they do.  x and v carry the state between calls, as the half
-    kick is carried, and each call writes q[0] and p[0] and returns whether
-    both lie within BLOWUP_NORM_CAP (False for a NaN), integrate's blow-up
-    test made on the floats (see Kernel)."""
-    w2, x, v = sys.w2.item(), q.item(), p.item()
+) -> Kernel | None:
+    """The method's kernel on one state of d axes in Python floats, or None
+    when the slow force has no scalar source (SlowForce.scalar_source).
+
+    The kernel is straight-line code (_scalar_factory) that names every
+    constant: h and its fractions, the per-axis w2 and denominators, the
+    rotation constants, FP_TOL, FP_MAX_ITER and the cap are computed here
+    as the array kernels compute them and passed in, so no user value
+    enters the source and nothing is folded: an axis with w2_i = 0 still
+    computes 0.0 * x and keeps its signed zero.
+    """
+    d, h = q.size, float(h)
+    emit = getattr(sys.slow_force, "scalar_source", None)
+    at = "m" if method is Method.MIDPOINT_FULL else "x"
+    source = emit and emit([f"{at}{i}" for i in range(d)], [f"g{i}" for i in range(d)])
+    if source is None:
+        return None
+    slow, operands = source
+    quarter_h2 = 0.25 * h * h
+    consts = {"cap": BLOWUP_NORM_CAP, "h": h, "half": 0.5 * h, "quarter_h2": quarter_h2,
+              "w2": sys.w2.tolist()}
     if method is Method.MIDPOINT_FULL:
-        # a failed test raises NoConvergence exactly when m_next is not finite
-        half_h, quarter_h2, tol, max_iter = 0.5 * h, 0.25 * h * h, FP_TOL, FP_MAX_ITER
+        consts.update(tol=float(FP_TOL), max_iter=FP_MAX_ITER)
+    elif method is Method.IMEX:
+        consts["den"] = (1.0 + quarter_h2 * sys.w2).tolist()
+    elif method is Method.RESPA:
+        dt = float(h / substeps)
+        consts.update(substeps=substeps, dt=dt, half_dt=0.5 * dt, nw2=(-sys.w2).tolist())
+    elif method is Method.MODIFIED_IMPULSE:
+        rotation = _rotation_constants(sys.omega, h)
+        consts.update(zip(("cos", "hw2", "den"), (c.tolist() for c in rotation)))
+    factory = _scalar_factory(method, d, tuple(slow), tuple(consts), tuple(operands))
+    return factory(q, p, **consts, **operands)
 
-        def step(x, v):
-            base = m = x + half_h * v
-            for i in range(max_iter):
-                m_next = base + quarter_h2 * (g(m) - w2 * m)
-                done = abs(m_next - m) <= tol
-                if not done and not math.isfinite(m_next):
-                    raise NoConvergence(i + 1)
-                m = m_next
-                if done:
-                    break
-            else:
-                raise NoConvergence(max_iter)
-            return 2.0 * m - x, v + h * (g(m) - w2 * m)
-    elif method is Method.SV:
-        step = _float_kick_drift_kick(lambda y: g(y) - w2 * y, lambda y, u: (y + h * u, u), h, x)
+
+@lru_cache(maxsize=32)
+def _scalar_factory(method: Method, d: int, slow: tuple[str, ...], consts: tuple[str, ...],
+                    operands: tuple[str, ...]):
+    """The compiled factory of the method's scalar kernel on d axes, slow
+    being the slow force's statements (g_i at x_i, or at the midpoint m_i);
+    consts and operands name the factory's keyword arguments.
+
+    Each array operation is written out axis by axis, in the array
+    kernel's order and on the same operands, so every state rounds as the
+    array kernels' does (but for a NaN's sign, which numpy too picks by
+    array size).  The floats x_i and v_i and the carried kicks live in the
+    kernel's closure between calls, as the array kernels' live in their
+    buffers; each call writes q and p and returns whether every component
+    lies within the cap (False for a NaN), integrate's blow-up test made
+    on the floats (see Kernel).
+    """
+    def each(*templates: str) -> list[str]:
+        return [t.format(i=i) for i in range(d) for t in templates]
+
+    def indent(lines) -> list[str]:
+        return ["    " + line for line in lines]
+
+    def unpack(names: str, value: str) -> str:
+        return "".join(f"{names.format(i=i)}, " for i in range(d)) + f"= {value}"
+
+    carried = ["x", "v"]
+    setup = [unpack("w2_{i}", "w2")]
+    if method is Method.MIDPOINT_FULL:
+        # _midpoint_full_kernel's rules: a failed test raises NoConvergence
+        # exactly when some n_i is not finite
+        step = [
+            *each("b{i} = x{i} + half * v{i}"), *each("m{i} = b{i}"),
+            "for i in range(max_iter):",
+            *indent(slow), *indent(each("n{i} = b{i} + quarter_h2 * (g{i} - w2_{i} * m{i})")),
+            "    done = " + " and ".join(each("abs(n{i} - m{i}) <= tol")),
+            "    if not done and not (" + " and ".join(each("isfinite(n{i})")) + "):",
+            "        raise NoConvergence(i + 1)",
+            *indent(each("m{i} = n{i}")),
+            "    if done:",
+            "        break",
+            "else:",
+            "    raise NoConvergence(max_iter)",
+            *slow, *each("v{i} = v{i} + h * (g{i} - w2_{i} * m{i})", "x{i} = 2.0 * m{i} - x{i}"),
+        ]
     else:
-        if method is Method.IMEX:
-            half, quarter_h2 = 0.5 * h, 0.25 * h * h
-            denom = (1.0 + quarter_h2 * sys.w2).item()
-
-            def inner(y, u):
-                w2y = w2 * y
-                y1 = (y + h * u - quarter_h2 * w2y) / denom
-                return y1, u - half * (w2y + w2 * y1)
+        # _kick_drift_kick, whose half kick k_i is carried from step to step
+        carried.append("k")
+        # Stormer-Verlet kicks with the full force, the others with g
+        full = " - w2_{i} * x{i}" if method is Method.SV else ""
+        force = [*slow, *each("k{i} = half * (g{i}" + full + ")")]
+        if method is Method.SV:
+            inner = each("x{i} = x{i} + h * v{i}")
+        elif method is Method.IMEX:
+            setup.append(unpack("den_{i}", "den"))
+            inner = each("w2x = w2_{i} * x{i}",
+                         "x{i} = (x{i} + h * v{i} - quarter_h2 * w2x) / den_{i}",
+                         "v{i} = v{i} - half * (w2x + w2_{i} * x{i})")
         elif method is Method.RESPA:
-            dt, neg_w2 = h / substeps, (-sys.w2).item()
-            substep = _float_kick_drift_kick(
-                lambda y: neg_w2 * y, lambda y, u: (y + dt * u, u), dt, x)
-
-            def inner(y, u):
-                for _ in range(substeps):
-                    y, u = substep(y, u)
-                return y, u
+            # _fast_verlet, a kick-drift-kick whose kick ks_i is carried too
+            carried.append("ks")
+            setup += [unpack("nw2_{i}", "nw2"), *each("ks{i} = half_dt * (nw2_{i} * x{i})")]
+            inner = ["for _ in range(substeps):", *indent(each(
+                "v{i} = v{i} + ks{i}", "x{i} = x{i} + dt * v{i}",
+                "ks{i} = half_dt * (nw2_{i} * x{i})", "v{i} = v{i} + ks{i}"))]
         else:
-            cos_num, h_w2, denom = (c.item() for c in _rotation_constants(sys.omega, h))
-
-            def inner(y, u):
-                return (cos_num * y + h * u) / denom, (cos_num * u - h_w2 * y) / denom
-        step = _float_kick_drift_kick(g, inner, h, x)
-
-    cap = BLOWUP_NORM_CAP
-
-    def kernel():
-        nonlocal x, v
-        x, v = step(x, v)
-        q[0] = x
-        p[0] = v
-        return abs(x) <= cap and abs(v) <= cap
-
-    return kernel
+            setup += [unpack(name + "_{i}", name) for name in ("cos", "hw2", "den")]
+            inner = each("x{i}, v{i} = ((cos_{i} * x{i} + h * v{i}) / den_{i}, "
+                         "(cos_{i} * v{i} - hw2_{i} * x{i}) / den_{i})")
+        setup += force
+        step = [*each("v{i} = v{i} + k{i}"), *inner, *force, *each("v{i} = v{i} + k{i}")]
+    source = "\n".join([
+        f"def _scalar_kernel(q, p, {', '.join(consts + operands)}):",
+        *indent([
+            # a memoryview takes an element faster than the array does
+            "q, p = memoryview(q), memoryview(p)",
+            unpack("x{i}", "q.tolist()"), unpack("v{i}", "p.tolist()"), *setup,
+            "def kernel():",
+            *indent([
+                "nonlocal " + ", ".join(f"{name}{i}" for name in carried for i in range(d)),
+                *step, *each("q[{i}] = x{i}", "p[{i}] = v{i}"),
+                "return " + " and ".join(each("abs(x{i}) <= cap", "abs(v{i}) <= cap")),
+            ]),
+            "return kernel",
+        ]),
+    ])
+    namespace = {"isfinite": math.isfinite, "NoConvergence": NoConvergence}
+    exec(compile(source, f"<oscint scalar kernel: {method.value}, d={d}>", "exec"), namespace)
+    return namespace["_scalar_kernel"]
 
 
 def _kernel(
@@ -402,9 +459,10 @@ def _kernel(
     substeps: int = 1,
 ) -> Kernel:
     """The method's kernel bound to q and p; substeps is read by RESPA only."""
-    float_form = getattr(sys.slow_force, "float_form", None)
-    if float_form is not None and q.shape == (1,):
-        return _float_kernel(sys, float_form, method, h, q, p, substeps)
+    if q.ndim == 1 and q.size <= SCALAR_MAX_D:
+        kernel = _scalar_kernel(sys, method, h, q, p, substeps)
+        if kernel is not None:
+            return kernel
     if method is Method.MIDPOINT_FULL:
         return _midpoint_full_kernel(sys, h, q, p)
     if method is Method.SV:

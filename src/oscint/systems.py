@@ -11,16 +11,17 @@ coordinates together with its energy diagnostics.
 The built-in slow forces are SlowForce objects: besides g(x) they offer
 bind(x, out), a call that writes g(x) into the fixed buffer out each time
 it runs, so a run that steps its state in place evaluates the force
-without allocating.  bind_slow_force gives any other callable the same
-shape.  Like the steppers' kernels, a bound force looks each ufunc up once,
-through a module-level name, and passes its output positionally.
+without allocating, and scalar_source, the same arithmetic as Python
+statements on floats, from which the steppers generate kernels for short
+states.  bind_slow_force gives any other callable the same shape.  Like
+the steppers' kernels, a bound force looks each ufunc up once, through a
+module-level name, and passes its output positionally.
 """
 from __future__ import annotations
 
 import functools
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -140,12 +141,9 @@ class SlowForce:
     Calling the force allocates out, binds and runs, so both ways share one
     arithmetic.  x and out may carry leading axes (a block of states).
 
-    float_form, if not None, is g on one Python float, for a g made of IEEE
-    + - * / and sign flips only, which Python rounds as numpy does; a
-    one-axis state then steps in floats (steppers._float_kernel).
+    scalar_source, if the force has one, lets a short single state step in
+    generated Python float code (steppers._scalar_kernel).
     """
-
-    float_form: Callable[[float], float] | None = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -155,6 +153,20 @@ class SlowForce:
 
     def bind(self, x: np.ndarray, out: np.ndarray) -> Callable[[], None]:
         raise NotImplementedError
+
+    def scalar_source(self, x: list[str], g: list[str]) -> tuple[list[str], dict] | None:
+        """Python statements that set the float variables named g to g at
+        the floats named x, with the objects they read by name, or None
+        (the default): no scalar source.
+
+        The statements do bind's operations, in its order, one axis at a
+        time; Python rounds + - * / and sign flips as numpy does.  They
+        depend on the names alone, never on a value, so a kernel's source
+        is a function of the method, d and the force's class; the objects
+        (buffers, ufuncs) are made fresh at each call.  Names of their own
+        begin with an underscore.
+        """
+        return None
 
 
 def bind_slow_force(force, x: np.ndarray, out: np.ndarray) -> Callable[[], None]:
@@ -173,10 +185,11 @@ def bind_slow_force(force, x: np.ndarray, out: np.ndarray) -> Callable[[], None]
 class _ModelSlowForce(SlowForce):
     """g(q) = -q: the unit soft spring of every model axis."""
 
-    float_form = staticmethod(operator.neg)
-
     def bind(self, x, out):
         return functools.partial(_negative, x, out)
+
+    def scalar_source(self, x, g):
+        return [f"{gi} = -{xi}" for xi, gi in zip(x, g)], {}
 
 
 def coupled_oscillator_build(omega) -> OscillatorySystem:
@@ -256,6 +269,27 @@ class _FpuSlowForce(SlowForce):
             _add(c_head, c_tail, g1)
 
         return force
+
+    def scalar_source(self, x, g):
+        # bind's stretches, wall terms included, written into _c through its
+        # memoryview _s; their cube, the one operation floats cannot copy
+        # (numpy's vectorized pow rounds apart from the C library's); the
+        # cubes' differences and sums
+        ell = self.ell
+        x0, x1, g0, g1 = x[:ell], x[ell:], g[:ell], g[ell:]
+        a = [f"({u} - {w})" for u, w in zip(x0, x1)] + ["0.0"]
+        b = ["0.0"] + [f"({u} + {w})" for u, w in zip(x0, x1)]
+        cubes = [f"_c{i}" for i in range(ell + 1)]
+        lines = [
+            *(f"_s[{i}] = {ai} - {bi}" for i, (ai, bi) in enumerate(zip(a, b))),
+            "_power(_c, _three, _c)",
+            "".join(f"{c}, " for c in cubes) + "= _s.tolist()",
+            *(f"{gi} = {tail} - {head}" for gi, head, tail in zip(g0, cubes, cubes[1:])),
+            *(f"{gi} = {head} + {tail}" for gi, head, tail in zip(g1, cubes, cubes[1:])),
+        ]
+        c = np.empty(ell + 1)
+        return lines, {"_c": c, "_s": memoryview(c), "_three": np.full(c.shape, 3.0),
+                       "_power": _power}
 
 
 def fpu_build(params: FpuParams) -> OscillatorySystem:

@@ -206,6 +206,19 @@ class TestFpuExchange:
         assert header == ["t", "I_1", "I_2", "I_3", "I_total", "H"]
         assert any(m.startswith("# windowed_sup_diff") for m in meta)
 
+    def test_reference_blowup_is_reported(self, tmp_path):
+        # Verlet at h omega = 5 > 2 diverges: the run completes, the
+        # reference does not, so no difference is reported and the exit is 2
+        out = tmp_path / "exchange.csv"
+        proc = run_cli("fpu-exchange", "--t-end", "5", "--reference-h", "0.1", "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        meta, _, _ = read_csv(out)
+        assert meta[0].endswith(
+            " status=completed reference_h=0.10000000000000001 reference_status=blowup "
+            "reference_t_blowup=0.40000000000000002 "
+            "reference_blowup_cause=state_norm_cap_exceeded")
+        assert not any(m.startswith("# windowed_sup_diff") for m in meta)
+
     @pytest.mark.parametrize(
         "window, reference",
         [("nan", ()), ("-1", ()), ("0", ()),

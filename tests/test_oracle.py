@@ -490,12 +490,13 @@ def test_bound_fpu_force_matches_frozen_force_bit_for_bit(ell):
 
 def _on_path(sys_, path, h):
     """The one-axis model system sys_ as it is (path "float": its force has
-    a float form) or with the plain force -x, which has none (path "array"),
-    checked to bind the kernel of that path."""
+    scalar source, so a single state steps in generated float code) or with
+    the plain force -x, which has none (path "array"), checked to bind the
+    kernel of that path."""
     if path == "array":
         sys_ = dataclasses.replace(sys_, slow_force=lambda x: -x)
     kernel = steppers._kernel(sys_, Method.MIDPOINT_FULL, h, np.zeros(1), np.zeros(1))
-    assert ("_float_kernel" in kernel.__qualname__) == (path == "float")
+    assert ("_scalar_kernel" in kernel.__qualname__) == (path == "float")
     return sys_
 
 

@@ -614,15 +614,53 @@ def _run_kernel(sys_, method, h, substeps, z, n_steps):
     return kernel, states, tests, None
 
 
+def _assert_scalar_kernel_matches_block(sys_, method, h, substeps, q0, p0, n_steps):
+    """Step one state of sys_ by the kernel _kernel binds to it, the
+    generated scalar kernel, and by the array kernel bound to the same
+    state as a block of one, and hold every step of the two the same."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            # z[0] is q and z[1] is p: shape (d,) each, or a (1, d) block
+            z = np.array([q0, p0], dtype=float)
+            got_kernel, got, got_tests, got_end = _run_kernel(
+                sys_, method, h, substeps, z.copy(), n_steps)
+            want_kernel, want, want_tests, want_end = _run_kernel(
+                sys_, method, h, substeps, z[:, np.newaxis].copy(), n_steps)
+    assert "_scalar_kernel" in got_kernel.__qualname__
+    assert "_scalar_kernel" not in want_kernel.__qualname__
+    assert got_end == want_end and len(got) == len(want)
+    # the scalar kernel makes integrate's cap test itself, exactly; the
+    # array kernel leaves it to integrate
+    assert all(type(within) is bool and within == exact for within, exact in got_tests)
+    assert all(within is None for within, _ in want_tests)
+    # A NaN (only ever in the last, blow-up state) may differ in sign:
+    # where both operands of an add are NaN, numpy's in-place add on one
+    # element returns the second, on more elements and in floats the first
+    for z_got, z_want in zip(got, want):
+        z_got, z_want = z_got.ravel(), z_want.ravel()
+        assert np.array_equal(z_got, z_want, equal_nan=True)
+        signed = ~np.isnan(z_want)
+        assert np.array_equal(np.signbit(z_got[signed]), np.signbit(z_want[signed]))
+
+
+# the lattices the scalar kernels cover: the smallest, exchange's ell = 3,
+# and the largest
+SCALAR_ELLS = (1, 2, 3, steppers.SCALAR_MAX_D // 2)
+LATTICE_CASES = [(m, 1) for m in ALL_METHODS if m is not Method.RESPA] + [
+    (Method.RESPA, 1), (Method.RESPA, 10)]
+
+
 class TestFloatKernels:
-    """One state of one axis steps in Python floats when the slow force has
-    a float form; each step is bit for bit the array kernels' on a block."""
+    """A single state of at most SCALAR_MAX_D axes steps in generated Python
+    float code when its slow force has scalar source; each step is bit for
+    bit the array kernels' on a block."""
 
     @pytest.mark.parametrize("method", ALL_METHODS, ids=[m.value for m in ALL_METHODS])
     def test_cap_boundary_decided_as_on_the_array_path(self, method):
         # steps of 1e-20 leave a state at the cap where it is: one there is
         # kept, one a ulp past it stops the run at its first step, whether
-        # the float kernel tests itself or integrate tests the array kernel
+        # the scalar kernel tests itself or integrate tests the array kernel
         sys_ = coupled_oscillator_build(2.0)
         plain = _unbindable(sys_, lambda x: sys_.slow_force(x))
         cap = steppers.BLOWUP_NORM_CAP
@@ -640,27 +678,55 @@ class TestFloatKernels:
     @given(q0=START, p0=START, h=st.floats(-0.5, 0.5), omega=st.floats(0.0, 1e4))
     @settings(max_examples=60)
     def test_float_kernel_matches_array_kernel_on_a_block(self, method, substeps, q0, p0, h, omega):
-        sys_ = coupled_oscillator_build(omega)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with np.errstate(over="ignore", invalid="ignore"):
-                # z[0] is q and z[1] is p: shape (1,) each, or a (1, 1) block
-                got_kernel, got, got_tests, got_end = _run_kernel(
-                    sys_, method, h, substeps, np.array([[q0], [p0]]), 20)
-                want_kernel, want, want_tests, want_end = _run_kernel(
-                    sys_, method, h, substeps, np.array([[[q0]], [[p0]]]), 20)
-        assert "_float_kernel" in got_kernel.__qualname__
-        assert "_float_kernel" not in want_kernel.__qualname__
-        assert got_end == want_end and len(got) == len(want)
-        # the float kernel makes integrate's cap test itself, exactly; the
-        # array kernel leaves it to integrate
-        assert all(type(within) is bool and within == exact for within, exact in got_tests)
-        assert all(within is None for within, _ in want_tests)
-        # A NaN (only ever in the last, blow-up state) may differ in sign:
-        # where both operands of an add are NaN, numpy's in-place add on one
-        # element returns the second, on more elements and in floats the first
-        for z_got, z_want in zip(got, want):
-            z_got, z_want = z_got.ravel(), z_want.ravel()
-            assert np.array_equal(z_got, z_want, equal_nan=True)
-            signed = ~np.isnan(z_want)
-            assert np.array_equal(np.signbit(z_got[signed]), np.signbit(z_want[signed]))
+        _assert_scalar_kernel_matches_block(
+            coupled_oscillator_build(omega), method, h, substeps, [q0], [p0], 20)
+
+    @pytest.mark.parametrize("ell", SCALAR_ELLS)
+    @pytest.mark.parametrize("method,substeps", LATTICE_CASES,
+                             ids=[f"{m.value}-{n}" for m, n in LATTICE_CASES])
+    @given(data=st.data(), h=st.floats(-0.5, 0.5), omega=st.floats(1e-3, 1e4))
+    @settings(max_examples=15)
+    def test_scalar_kernel_matches_array_kernel_on_a_lattice_block(
+        self, method, substeps, ell, data, h, omega
+    ):
+        z = st.lists(START, min_size=2 * ell, max_size=2 * ell)
+        _assert_scalar_kernel_matches_block(
+            fpu_build(FpuParams(ell, omega)), method, h, substeps, data.draw(z), data.draw(z), 20)
+
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=[m.value for m in ALL_METHODS])
+    def test_canonical_lattice_start_keeps_every_sign(self, method):
+        # the canonical start is mostly zeros, some of which stay zeros for
+        # many steps; every sign is held for 1000 steps, and any cube other
+        # than numpy's power (libm's **, for one) moves the state within them
+        sys_ = fpu_build(FpuParams(steppers.SCALAR_MAX_D // 2, 50.0))
+        start = fpu_initial_state(sys_)
+        _assert_scalar_kernel_matches_block(sys_, method, 0.01, 10, start.q, start.p, 1000)
+
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=[m.value for m in ALL_METHODS])
+    def test_zero_frequency_axes_keep_signed_zeros(self, method):
+        # The soft axes of a lattice have w2 = 0 (and RESPA's -w2 = -0.0).
+        # Here soft axes 1 and 3 sit at x < 0 and x > 0 with momentum -0.0
+        # under a force of -0.0: the stretches (1, -2, 6, -1) * 1e-200 cube
+        # to +-0.0.  So 0.0 * x and -0.0 * x decide the sign of a zero
+        # momentum, and a kernel that folded either product would flip it.
+        sys_ = fpu_build(FpuParams(3, 50.0))
+        q0 = np.array([-1.0, -5.0, 1.0, -2.0, 0.0, 0.0]) * 1e-200
+        p0 = [-0.0, -0.0, -0.0, 0.0, -0.0, 0.0]
+        _assert_scalar_kernel_matches_block(sys_, method, 0.01, 10, q0, p0, 20)
+
+    def test_dispatch(self):
+        # generated for a single state of up to SCALAR_MAX_D axes whose
+        # force has scalar source; arrays for a longer state, a block and a
+        # force without it
+        def bound(sys_, shape):
+            return _kernel(sys_, Method.IMEX, 0.01, np.zeros(shape), np.zeros(shape)).__qualname__
+
+        d = steppers.SCALAR_MAX_D
+        for n in (1, d):
+            sys_ = coupled_oscillator_build(np.full(n, 2.0))
+            assert "_scalar_kernel" in bound(sys_, n)
+            assert "_scalar_kernel" not in bound(sys_, (1, n))
+            assert "_scalar_kernel" not in bound(_unbindable(sys_, lambda x: -x), n)
+        assert "_scalar_kernel" not in bound(coupled_oscillator_build(np.full(d + 1, 2.0)), d + 1)
+        assert "_scalar_kernel" in bound(fpu_build(FpuParams(d // 2, 50.0)), d // 2 * 2)
+        assert "_scalar_kernel" not in bound(fpu_build(FpuParams(d // 2 + 1, 50.0)), d // 2 * 2 + 2)

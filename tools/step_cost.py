@@ -8,9 +8,10 @@ alternate between them, case by case, so a before/after pair shares the
 machine's state.  A method case is integrate at stride 1e9 (no samples
 recorded) at h = 0.01 on two systems: the ell=3 lattice at omega = 50 from
 its canonical start, and the convergence study's d=1 model system at
-omega = 2 from (q, p) = (1, 0.5); RESPA takes 10 substeps.  The model
-rows time the Python-float kernels that one-axis runs take (see
-oscint.steppers), the lattice rows the array kernels.  On each system,
+omega = 2 from (q, p) = (1, 0.5); RESPA takes 10 substeps.  The lattice
+and model rows time the kernels integrate binds for them: generated
+Python-float code, as for any single state of at most SCALAR_MAX_D axes
+(see oscint.steppers).  On each system,
 midpoint-full/iter is the midpoint-full run's time per fixed-point
 iteration, the iterations counted in an untimed run, so that a change in
 the cost of one iteration reads apart from a change in their number.  Two
@@ -21,7 +22,13 @@ more cases time the model-sweep commands and the loops inside them:
   - sweep resonance_sweep(): the whole sweep at the CLI defaults per step
     of its 10^4, end to end: its matrices, and the loop in two processes
     where the sweep forks one (see oscint.experiments).
-The table gives the median and quartiles over the repeats.
+  - ell=N sv|imex scalar|array: integrate as above on the ell = N
+    lattice (ell = 1, 2, 3, 4, 6, 8) on both paths: "scalar" with
+    SCALAR_MAX_D raised to cover d = 2 ell, "array" with the slow force
+    behind a plain wrapper that keeps its bind but has no scalar source.
+The table gives the median and quartiles over the repeats.  Last, for
+each lattice size and method, the repeats in which the scalar path beat
+the array path; SCALAR_MAX_D is the largest d at which it wins 9 of 10.
 """
 from __future__ import annotations
 
@@ -42,6 +49,8 @@ H = 0.01
 STEPS = {"midpoint-full": 200}
 DEFAULT_STEPS = 2000
 SWEEP_STEPS = 2000
+PATH_ELLS = (1, 2, 3, 4, 6, 8)
+PATH_METHODS = ("sv", "imex")
 
 
 def load(src: Path, alias: str):
@@ -85,9 +94,8 @@ def us_per_fixed_point_iteration(oscint, system: str) -> float:
     A step evaluates the slow force once per iteration and once more at
     the converged midpoint, so an untimed run with a counting force (a
     plain callable, computing the same values) gives the iteration count.
-    That force has no float form, so on the model system the counting run
-    takes the array kernel, which iterates exactly as the timed float
-    kernel does."""
+    That force has no scalar source, so the counting run takes the array
+    kernel, which iterates exactly as the timed scalar kernel does."""
     sys_, state0 = system_and_start(oscint, system)
     n = STEPS["midpoint-full"]
     calls = []
@@ -99,6 +107,29 @@ def us_per_fixed_point_iteration(oscint, system: str) -> float:
     run_seconds(oscint, dataclasses.replace(sys_, slow_force=counting_force), state0,
                 "midpoint-full", n)
     return run_seconds(oscint, sys_, state0, "midpoint-full", n) / (len(calls) - n) * 1e6
+
+
+def us_per_lattice_step(oscint, ell: int, method: str, path: str) -> float:
+    """A run on the ell lattice on the scalar or the array path."""
+    lattice = oscint.fpu_build(oscint.FpuParams(ell=ell, omega=50.0))
+    state0 = oscint.fpu_initial_state(lattice)
+    steppers = oscint.steppers
+    max_d = getattr(steppers, "SCALAR_MAX_D", None)
+    if path == "array":
+        force = lattice.slow_force
+
+        def plain(x):
+            return force(x)
+
+        plain.bind = force.bind
+        lattice = dataclasses.replace(lattice, slow_force=plain)
+    else:
+        steppers.SCALAR_MAX_D = 2 * ell
+    try:
+        return run_seconds(oscint, lattice, state0, method, DEFAULT_STEPS) / DEFAULT_STEPS * 1e6
+    finally:
+        if max_d is not None:
+            steppers.SCALAR_MAX_D = max_d
 
 
 @cache
@@ -142,6 +173,11 @@ def main() -> None:
         cases[s, "midpoint-full/iter"] = partial(us_per_fixed_point_iteration, system=s)
     cases["sweep", "900 rows"] = us_per_sweep_step
     cases["sweep", "resonance_sweep()"] = us_per_resonance_sweep_step
+    for ell in PATH_ELLS:
+        for m in PATH_METHODS:
+            for path in ("scalar", "array"):
+                cases[f"ell={ell}", f"{m} {path}"] = partial(
+                    us_per_lattice_step, ell=ell, method=m, path=path)
     times = {(i, c): [] for i in range(len(packages)) for c in cases}
     for r in range(args.repeats):
         for case, timer in cases.items():
@@ -155,6 +191,14 @@ def main() -> None:
             q1, q2, q3 = statistics.quantiles(times[i, (s, m)], n=4)
             cells.append(f"{q2:10.2f} [{q1:.2f}, {q3:.2f}]".rjust(34))
         print(f"{s:<8}{m}".ljust(28) + "".join(cells))
+    print("\nrepeats won by the scalar path")
+    for ell in PATH_ELLS:
+        for m in PATH_METHODS:
+            won = [sum(a < b for a, b in zip(times[i, (f"ell={ell}", f"{m} scalar")],
+                                             times[i, (f"ell={ell}", f"{m} array")]))
+                   for i in range(len(packages))]
+            print(f"d={2 * ell:<6}{m}".ljust(28)
+                  + "".join(f"{w:>28} of {args.repeats}" for w in won))
 
 
 if __name__ == "__main__":
