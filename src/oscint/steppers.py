@@ -1,54 +1,46 @@
 """One-step maps for fast/slow systems and the trajectory driver.
 
-Every method but one is a kick-drift-kick (_kick_drift_kick): a half kick
-from one force, an inner map across h, and a closing half kick.  The
-central method, an implicit-explicit splitting (IMEX), kicks with the slow
-force around one implicit midpoint step of the fast quadratic part; Omega
-is diagonal, so that "solve" is one division per axis.  The baselines:
-Stormer-Verlet kicks with the full force around a drift; the impulse
-method (r-RESPA) kicks with the slow force around `substeps` Verlet
-substeps of the stiff force, each a kick-drift-kick itself; the modified
-impulse method, around a rotation of each axis by its modified frequency.
-The fully implicit midpoint step on the whole potential stands apart.
+Each method is written once, as a few statements in the vector notation
+of _Statements (_STATEMENTS).  Every method but one is a kick-drift-kick
+(_splitting): a half kick from one force, an inner map across h, and a
+closing half kick.  The central method, an implicit-explicit splitting
+(IMEX), kicks with the slow force around one implicit midpoint step of the
+fast quadratic part; Omega is diagonal, so that "solve" is one division
+per axis.  The baselines: Stormer-Verlet kicks with the full force around
+a drift; the impulse method (r-RESPA) kicks with the slow force around
+`substeps` Verlet substeps of the stiff force; the modified impulse
+method, around a rotation of each axis by its modified frequency.  The
+fully implicit midpoint step on the whole potential stands apart.
 
-Each method is a kernel bound to one run's state buffers q and p: built
-once, with the views, scratch and bound forces it needs, it advances q and
-p by one step in place at each call, and allocates nothing when the slow
-force is a SlowForce.  A kick-drift-kick carries its half kick, (h/2) F(q),
-from the end of one step to the start of the next, so a run of n steps
-evaluates the slow force n + 1 times.  _kernel is the one map from a
-method to its kernel.  integrate holds the state in one buffer
-z = [q | p] and records copies of it into one sample block.  Every single
-step outside integrate (the public step_* functions and
-analysis.propagation_matrix) goes through _step_once, which binds the
-kernel, steps it once and silences the overflow of a diverging
-midpoint-full iteration, as integrate does for a whole run.
+A kernel, bound to one run's buffers q and p by _kernel, advances them
+one step in place at each call and allocates nothing when the slow force
+is a SlowForce.  integrate holds the state in one buffer z = [q | p];
+every single step outside it (step_*, analysis.propagation_matrix) goes
+through _step_once, which silences a diverging midpoint-full iteration's
+overflow, as integrate does for a whole run.
 
-On a short state a numpy call costs far more than its arithmetic, so the
-per-step calls are written lean: each ufunc is looked up once, through a
-module-level name such as _add, and its output buffer is passed
-positionally, _add(p, k, p) rather than np.add(p, k, out=p), which skips
-the keyword parsing and the attribute lookup on every call.
-
-Even so a ufunc call costs ~0.3 us however short the state, and a step
-makes 10-20 of them for a few dozen flops.  So a single state
-(q.ndim == 1) of at most SCALAR_MAX_D axes whose slow force has scalar
-source (SlowForce.scalar_source) steps in Python floats, in straight-line
-code generated for the method, d and the force (_scalar_kernel): each
-array operation written out axis by axis, in the array kernel's order.
-Python rounds + - * / as numpy does, so every state is bit for bit the
-array kernels' (but for a NaN's sign, which numpy too picks by array
-size).  The lattice force's cube stays one np.power call, the one
-operation floats cannot copy.  Only straight-line code pays: a float step
-written with loops over the axes is slower than the arrays, and past
-SCALAR_MAX_D axes (measured, tools/step_cost.py) the arrays win.  Blocks
-(analysis.propagation_matrix), longer states and forces without scalar
-source take the array kernels.
+The statements are rendered two ways from one set of constants
+(_constants).  On arrays (_array_kernel) each statement is lowered, once
+per process, to the in-place ufunc calls it makes (_lower), and binding
+makes each call a partial on the run's buffers with its output passed
+positionally, which skips the keyword parsing of out=.  Even so a ufunc
+call costs ~0.3 us however short the state, and a step makes 10-20 of
+them for a few dozen flops.  So a single state (q.ndim == 1) of at most
+SCALAR_MAX_D axes whose slow force has scalar source
+(SlowForce.scalar_source) steps in Python floats, in straight-line code
+generated for the method, d and the force (_scalar_kernel).  Python rounds
++ - * / as numpy does, so every state is bit for bit the array kernels'
+(but for a NaN's sign, which numpy too picks by array size).  The lattice
+force's cube stays one np.power call, the one operation floats cannot
+copy.  Past SCALAR_MAX_D axes (measured, tools/step_cost.py) the arrays
+win; blocks and forces without scalar source take them too.
 """
 from __future__ import annotations
 
+import ast
 import enum
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable
@@ -73,39 +65,13 @@ MAX_STEPS = 10 ** 8
 # IMEX alike.
 SCALAR_MAX_D = 16
 
-# the ufuncs of the per-step calls (see the module docstring)
-_add, _subtract, _multiply, _divide = np.add, np.subtract, np.multiply, np.divide
-_absolute, _isfinite, _max, _copyto = np.absolute, np.isfinite, np.maximum.reduce, np.copyto
-
 COMPLETED = "completed"
 BLOWUP = "blowup"
 
-# A kernel is bound to one run's buffers q and p and advances them in place
-# each time it is called: by a whole step, or by an inner map of one (a
-# drift, a fast flow, RESPA's substeps).  It returns None, or, if it tests
-# the new state itself (a generated scalar kernel, _scalar_kernel), whether
-# every component lies within BLOWUP_NORM_CAP.
+# A kernel advances its bound buffers q and p by one step in place at each
+# call and returns None (on arrays) or, as a float kernel tests the new
+# state itself, whether every component lies within BLOWUP_NORM_CAP.
 Kernel = Callable[[], bool | None]
-
-
-def _scratch(like: np.ndarray, n: int) -> list[np.ndarray]:
-    """n scratch buffers shaped like the state.
-
-    Each kernel call passes one of them as its positional output, as in
-    _multiply(h, p, t1).  The kernels never write a ufunc's result over
-    one of its inputs, except where a step accumulates into q or p: numpy
-    treats an in-place operation on a one-element array as a possible
-    reduction and takes its slow buffered path (about 1 us a call), which
-    only a one-axis state whose force has no scalar source still pays.
-    """
-    return [np.empty(like.shape) for _ in range(n)]
-
-
-def _operand(value: float, like: np.ndarray) -> np.ndarray:
-    """value repeated over like's shape.  As a ufunc operand it gives the
-    products a scalar gives, without numpy's per-call scalar conversion,
-    which costs more than the arithmetic on a short state vector."""
-    return np.full(like.shape, value)
 
 
 class NoConvergence(RuntimeError):
@@ -140,318 +106,363 @@ class StepperSpec:
         _check_count("substeps", self.substeps)
 
 
-def _rotation_constants(omega: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
-    """The rotation's 1 - a^2, h omega^2 and 1 + a^2 (a = h omega/2), per
-    axis (see _fast_rotation)."""
-    a2 = (0.5 * h * omega) ** 2
-    return 1.0 - a2, h * omega ** 2, 1.0 + a2
+@dataclass(frozen=True)
+class _Statements:
+    """One method in vector notation: setup runs once, when the kernel is
+    bound, and step at each call.  x and v stand for q and p; w2, den, cos,
+    hw2 and nw2 are per-axis constants, h, half, quarter_h2, dt, half_dt
+    and tol floats, max_iter and substeps ints (_constants).  Any other name
+    is a vector: x, v and the carried ones keep their values between calls,
+    the rest are temporaries.  g = SLOW(y) sets g to the slow force at y;
+    ALL(e) holds when e holds on every axis (one ALL a line).  Lines that
+    begin with for, if, else, raise or break are Python as written."""
+
+    name: str
+    setup: tuple[str, ...]
+    step: tuple[str, ...]
+    carried: tuple[str, ...] = ()
 
 
-def _fast_midpoint(w2: np.ndarray, h: float, q: np.ndarray, p: np.ndarray) -> Kernel:
-    """Implicit midpoint on q'' = -w2 q, per axis.
-
-    Solves (1 + (h^2/4) w2) q1 = (1 - (h^2/4) w2) q0 + h p0, then
-    p1 = p0 - (h/2) w2 (q0 + q1); exactly conserves the fast energy.
-    Evaluated as (q0 + h p0 - (h^2/4)(w2 q0)) / (1 + (h^2/4) w2).
-    """
-    half, quarter_h2 = 0.5 * h, 0.25 * h * h
-    denom = 1.0 + quarter_h2 * w2
-    h, half, quarter_h2 = (_operand(c, q) for c in (h, half, quarter_h2))
-    w2q, t1, t2, t3 = _scratch(q, 4)
-
-    def fast():
-        _multiply(w2, q, w2q)
-        _multiply(h, p, t1)
-        _add(q, t1, t2)
-        _multiply(quarter_h2, w2q, t1)
-        _subtract(t2, t1, t3)
-        _divide(t3, denom, q)
-        _multiply(w2, q, t1)
-        _add(w2q, t1, t2)
-        _multiply(half, t2, t1)
-        _subtract(p, t1, p)
-
-    return fast
+def _splitting(name: str, inner: tuple[str, ...], kick: str = "k = half * g",
+               carried: tuple[str, ...] = (), setup: tuple[str, ...] = ()) -> _Statements:
+    """Half kick k = (h/2) F(x), the inner map across h, half kick.  The
+    half kick is carried: evaluated when the kernel is bound, a step's
+    closing kick is the next step's opening kick, so n steps evaluate the
+    slow force n + 1 times.  That holds while only the inner map moves x;
+    RESPA's substeps, whose kicks move only v, carry their kick too."""
+    force = ("g = SLOW(x)", kick)
+    return _Statements(name, setup + force, ("v = v + k", *inner, *force, "v = v + k"),
+                       ("k",) + carried)
 
 
-def _fast_rotation(omega: np.ndarray, h: float, q: np.ndarray, p: np.ndarray) -> Kernel:
-    """Rotation of each axis by its modified frequency.
-
-    With a = h*omega_i/2 the rotation angle w~*h satisfies tan(w~*h/2) = a,
-    so cos(w~*h) = (1 - a^2)/(1 + a^2) and the fast map per axis is
-
-        [[c, (h/2)(1 + c)], [-(2/h)(1 - c), c]],  c = cos(w~*h).
-
-    The entries are evaluated over the common denominator 1 + a^2, which is
-    the same matrix with one rounding fewer per entry:
-    (h/2)(1 + c) = h/(1 + a^2) and (2/h)(1 - c) = h*omega_i^2/(1 + a^2).
-    Axes with omega_i = 0 reduce exactly to the free drift q + h p.
-    """
-    cos_num, h_w2, denom = _rotation_constants(omega, h)
-    h = _operand(h, q)
-    t1, t2, t3, t4 = _scratch(q, 4)
-
-    def fast():
-        _multiply(cos_num, q, t1)
-        _multiply(h, p, t2)
-        _add(t1, t2, t3)
-        _multiply(cos_num, p, t1)
-        _multiply(h_w2, q, t2)
-        _subtract(t1, t2, t4)
-        _divide(t4, denom, p)
-        _divide(t3, denom, q)
-
-    return fast
-
-
-def _drift(h: float, q: np.ndarray, p: np.ndarray) -> Kernel:
-    """The free flight q += h p."""
-    h = _operand(h, q)
-    (hp,) = _scratch(q, 1)
-
-    def drift():
-        _multiply(h, p, hp)
-        _add(q, hp, q)
-
-    return drift
-
-
-def _bind_total_force(sys: OscillatorySystem, x: np.ndarray, out: np.ndarray) -> Kernel:
-    """A call that writes the full force g(x) - w2 x into out."""
-    w2 = sys.w2
-    g, w2x = _scratch(x, 2)
-    slow_at_x = bind_slow_force(sys.slow_force, x, g)
-
-    def total_force():
-        slow_at_x()
-        _multiply(w2, x, w2x)
-        _subtract(g, w2x, out)
-
-    return total_force
-
-
-def _kick_drift_kick(bind_force, inner: Kernel, h: float, q: np.ndarray, p: np.ndarray) -> Kernel:
-    """Half kick, the inner map across h (bound to q and p), half kick.
-
-    bind_force(x, out) returns a call that writes the force F(x) into out.
-    The half kick (h/2) F(q) is evaluated here, at the start state, and a
-    step's closing kick is the next step's opening kick.  That holds while
-    only the inner map moves q, so a kick-drift-kick nested in another,
-    whose kicks move only p, carries its kick across the outer steps too.
-    """
-    half = _operand(0.5 * h, q)
-    k, f = _scratch(q, 2)
-    force_at_q = bind_force(q, f)
-    force_at_q()
-    _multiply(half, f, k)
-
-    def kernel():
-        _add(p, k, p)
-        inner()
-        force_at_q()
-        _multiply(half, f, k)
-        _add(p, k, p)
-
-    return kernel
+# Implicit midpoint on x'' = -w2 x, per axis: solves
+# (1 + (h^2/4) w2) x1 = (1 - (h^2/4) w2) x0 + h v0, den = 1 + (h^2/4) w2,
+# then v1 = v0 - (h/2) w2 (x0 + x1); it exactly conserves the fast energy.
+_STIFF_MIDPOINT = (
+    "w2x = w2 * x",
+    "x = (x + h * v - quarter_h2 * w2x) / den",
+    "v = v - half * (w2x + w2 * x)",
+)
+_FAST_MIDPOINT = _Statements("midpoint-fast", (), _STIFF_MIDPOINT)
+_STATEMENTS = {
+    # Stormer-Verlet kicks with the full force g - w2 x around a drift
+    Method.SV: _splitting("sv", ("x = x + h * v",), kick="k = half * (g - w2 * x)"),
+    Method.IMEX: _splitting("imex", _STIFF_MIDPOINT),
+    # `substeps` Stormer-Verlet steps of the stiff force alone across h, a
+    # kick-drift-kick whose kick ks carries over too.  The stiff force is
+    # nw2 x, nw2 = -w2 negated once: its half kick is exactly
+    # -(dt/2)(w2 x), and v + (-ks) rounds as v - ks, signed zeros too.
+    Method.RESPA: _splitting("respa", (
+        "for _ in range(substeps):",
+        "    v = v + ks",
+        "    x = x + dt * v",
+        "    ks = half_dt * (nw2 * x)",
+        "    v = v + ks",
+    ), carried=("ks",), setup=("ks = half_dt * (nw2 * x)",)),
+    # Rotation of each axis by its modified frequency: with a = h omega/2,
+    # tan(w~ h/2) = a, c = cos(w~ h) = (1 - a^2)/(1 + a^2), and the map is
+    # [[c, (h/2)(1 + c)], [-(2/h)(1 - c), c]].  Its entries are taken over
+    # den = 1 + a^2, one rounding fewer each: cos = 1 - a^2, (h/2)(1 + c) =
+    # h/den, (2/h)(1 - c) = hw2/den with hw2 = h omega^2; u holds x's new
+    # numerator.  An axis with omega = 0 is exactly the drift x + h v.
+    Method.MODIFIED_IMPULSE: _splitting("modified-impulse", (
+        "u = cos * x + h * v",
+        "v = (cos * v - hw2 * x) / den",
+        "x = u / den",
+    )),
+    # Implicit midpoint on the full potential: iterate m <- b + (h^2/4) f(m),
+    # b = x + (h/2) v, f = g - w2 x, until successive iterates differ by at
+    # most tol on every axis, at most max_iter times (FP_TOL, FP_MAX_ITER,
+    # read at bind time).  It contracts only while (h^2/4) Lip(f) < 1: a
+    # small-step baseline, with no carried kick.  A failed test raises
+    # NoConvergence when some n is not finite (a finite iterate whose
+    # change overflows goes on), leaving x and v as they were.  Overflow on
+    # the way is silenced by the callers (integrate, _step_once).
+    Method.MIDPOINT_FULL: _Statements("midpoint-full", (), (
+        "b = x + half * v",
+        "m = b",
+        "for i in range(max_iter):",
+        "    g = SLOW(m)",
+        "    n = b + quarter_h2 * (g - w2 * m)",
+        "    done = ALL(abs(n - m) <= tol)",
+        "    if not done and not ALL(isfinite(n)):",
+        "        raise NoConvergence(i + 1)",
+        "    m = n",
+        "    if done:",
+        "        break",
+        "else:",
+        "    raise NoConvergence(max_iter)",
+        "g = SLOW(m)",
+        "v = v + h * (g - w2 * m)",
+        "x = 2.0 * m - x",
+    )),
+}
 
 
-def _fast_verlet(w2: np.ndarray, h: float, substeps: int, q: np.ndarray, p: np.ndarray) -> Kernel:
-    """`substeps` Stormer-Verlet steps of the fast-only system across h.
+def _constants(sys: OscillatorySystem, method: Method, h: float, substeps: int) -> dict:
+    """The constants the method's statements name, for both renderings:
+    Python floats and ints, and per-axis arrays of shape (d,)."""
+    h = float(h)
+    quarter_h2 = 0.25 * h * h
+    consts = {"h": h, "half": 0.5 * h, "quarter_h2": quarter_h2, "w2": sys.w2}
+    if method is Method.IMEX:
+        consts["den"] = 1.0 + quarter_h2 * sys.w2
+    elif method is Method.MIDPOINT_FULL:
+        consts.update(tol=float(FP_TOL), max_iter=FP_MAX_ITER)
+    elif method is Method.RESPA:
+        dt = h / substeps
+        consts.update(substeps=substeps, dt=dt, half_dt=0.5 * dt, nw2=-sys.w2)
+    elif method is Method.MODIFIED_IMPULSE:
+        a2 = (0.5 * h * sys.omega) ** 2
+        consts.update(cos=1.0 - a2, hw2=h * sys.omega ** 2, den=1.0 + a2)
+    return consts
 
-    The stiff force is (-w2) x with -w2 negated once: its half kick is
-    exactly -(dt/2)(w2 x), and p + (-k) rounds as p - k, signed zeros too.
-    """
-    dt, neg_w2 = h / substeps, -w2
-    substep = _kick_drift_kick(
-        lambda x, out: partial(_multiply, neg_w2, x, out), _drift(dt, q, p), dt, q, p)
 
-    def fast():
-        for _ in range(substeps):
-            substep()
-
-    return fast
+_NAME = re.compile(r"\b[A-Za-z_]\w*")
+_SLOW = re.compile(r"(\w+) = SLOW\((\w+)\)$")
+_ALL = re.compile(r"ALL\((.*)\)")
+_PYTHON = re.compile(r"(for|if|else|raise|break)\b")
+_FLOATS = frozenset(("h", "half", "quarter_h2", "dt", "half_dt", "tol"))
+_PER_AXIS = frozenset(("w2", "den", "cos", "hw2", "nw2"))
+_CONSTANTS = _FLOATS | _PER_AXIS | {"max_iter", "substeps"}
 
 
-def _midpoint_full_kernel(sys: OscillatorySystem, h: float, q: np.ndarray, p: np.ndarray) -> Kernel:
-    """Implicit midpoint on the full potential, solved by fixed-point iteration.
-
-    Iterates on the interval midpoint m = q + (h/2) p + (h^2/4) f(m) with
-    f = g - Omega^2 q until successive iterates differ by <= FP_TOL in the
-    max norm, for at most FP_MAX_ITER iterations.  Contracts only while
-    (h^2/4) Lip(f) < 1, so this is a small-step baseline.  It evaluates
-    the slow force at midpoints only and carries no kick.  On NoConvergence
-    q and p are left as they were.  FP_TOL and FP_MAX_ITER are read when
-    the kernel is bound.
-
-    A failed test raises NoConvergence when m_next is not finite.  A finite
-    change needs no such check: m_next - m is finite only where both are,
-    so only an inf or NaN change checks m_next with isfinite (a finite
-    iterate whose change overflows goes on).  A diverging iteration
-    overflows on the way; the kernel enters no np.errstate, its callers
-    silence it (integrate once per run, _step_once once per step).
-    """
-    h, half_h, quarter_h2, two = (_operand(c, q) for c in (h, 0.5 * h, 0.25 * h * h, 2.0))
-    m, m_next, base, f, t1, diff = _scratch(q, 6)
-    # the change of a block of states is tested over every axis
-    diff_flat = diff.reshape(-1)
-    delta = np.empty(diff.size)
-    tol, max_iter = FP_TOL, FP_MAX_ITER
-    finite = np.empty(q.shape, dtype=bool)
-    force_m = _bind_total_force(sys, m, f)
-
-    def kernel():
-        _multiply(half_h, p, t1)
-        _add(q, t1, base)
-        _add(q, t1, m)
-        for i in range(max_iter):
-            force_m()
-            _multiply(quarter_h2, f, t1)
-            _add(base, t1, m_next)
-            _subtract(m_next, m, diff)
-            change = _max(_absolute(diff_flat, delta))
-            done = change <= tol
-            if not done and not math.isfinite(change) and not _isfinite(m_next, finite).all():
-                raise NoConvergence(i + 1)
-            _copyto(m, m_next)
-            if done:
-                break
+def _parsed(lines: tuple[str, ...]):
+    """Each line's (indentation, kind, content): "slow" with (g, y) for
+    g = SLOW(y), "python" for a Python line or an ALL, else "vector"."""
+    for line in lines:
+        text = line.lstrip()
+        pad = line[:len(line) - len(text)]
+        if match := _SLOW.match(text):
+            yield pad, "slow", match.groups()
         else:
-            raise NoConvergence(max_iter)
-        force_m()
-        _multiply(h, f, t1)
-        _add(p, t1, p)
-        _multiply(two, m, t1)
-        _subtract(t1, q, q)
+            yield pad, "python" if _PYTHON.match(text) or "ALL(" in text else "vector", text
 
-    return kernel
+
+@lru_cache(maxsize=None)
+def _names(statements: _Statements) -> tuple[tuple[str, ...], tuple[str, str] | None]:
+    """The constants the statements name, in a fixed order, and the (g, y)
+    of their g = SLOW(y), all alike, or None if there is none."""
+    lines = statements.setup + statements.step
+    slow = [text for _, kind, text in _parsed(lines) if kind == "slow"]
+    consts = _CONSTANTS.intersection(_NAME.findall("\n".join(lines)))
+    return tuple(sorted(consts)), slow[0] if slow else None
 
 
 def _scalar_kernel(
-    sys: OscillatorySystem, method: Method, h: float, q: np.ndarray, p: np.ndarray,
-    substeps: int,
+    sys: OscillatorySystem, statements: _Statements, consts: dict, q: np.ndarray, p: np.ndarray
 ) -> Kernel | None:
-    """The method's kernel on one state of d axes in Python floats, or None
-    when the slow force has no scalar source (SlowForce.scalar_source).
-
-    The kernel is straight-line code (_scalar_factory) that names every
-    constant: h and its fractions, the per-axis w2 and denominators, the
-    rotation constants, FP_TOL, FP_MAX_ITER and the cap are computed here
-    as the array kernels compute them and passed in, so no user value
-    enters the source and nothing is folded: an axis with w2_i = 0 still
-    computes 0.0 * x and keeps its signed zero.
-    """
-    d, h = q.size, float(h)
+    """The statements' kernel on one state of d axes in Python floats, or
+    None when the slow force has no scalar source (SlowForce.scalar_source).
+    Every constant is passed in by name, so no user value enters the source
+    and nothing is folded: an axis with w2_i = 0 still computes 0.0 * x and
+    keeps its signed zero."""
+    d = q.size
+    names, at = _names(statements)
+    g, y = at or ("g", "x")
     emit = getattr(sys.slow_force, "scalar_source", None)
-    at = "m" if method is Method.MIDPOINT_FULL else "x"
-    source = emit and emit([f"{at}{i}" for i in range(d)], [f"g{i}" for i in range(d)])
+    source = emit and emit([f"{y}{i}" for i in range(d)], [f"{g}{i}" for i in range(d)])
     if source is None:
         return None
     slow, operands = source
-    quarter_h2 = 0.25 * h * h
-    consts = {"cap": BLOWUP_NORM_CAP, "h": h, "half": 0.5 * h, "quarter_h2": quarter_h2,
-              "w2": sys.w2.tolist()}
-    if method is Method.MIDPOINT_FULL:
-        consts.update(tol=float(FP_TOL), max_iter=FP_MAX_ITER)
-    elif method is Method.IMEX:
-        consts["den"] = (1.0 + quarter_h2 * sys.w2).tolist()
-    elif method is Method.RESPA:
-        dt = float(h / substeps)
-        consts.update(substeps=substeps, dt=dt, half_dt=0.5 * dt, nw2=(-sys.w2).tolist())
-    elif method is Method.MODIFIED_IMPULSE:
-        rotation = _rotation_constants(sys.omega, h)
-        consts.update(zip(("cos", "hw2", "den"), (c.tolist() for c in rotation)))
-    factory = _scalar_factory(method, d, tuple(slow), tuple(consts), tuple(operands))
-    return factory(q, p, **consts, **operands)
+    values = {name: consts[name] for name in names}
+    values.update((name, values[name].tolist()) for name in _PER_AXIS.intersection(values))
+    factory = _scalar_factory(statements, d, tuple(slow), names, tuple(operands))
+    return factory(q, p, BLOWUP_NORM_CAP, **values, **operands)
 
 
 @lru_cache(maxsize=32)
-def _scalar_factory(method: Method, d: int, slow: tuple[str, ...], consts: tuple[str, ...],
-                    operands: tuple[str, ...]):
-    """The compiled factory of the method's scalar kernel on d axes, slow
-    being the slow force's statements (g_i at x_i, or at the midpoint m_i);
-    consts and operands name the factory's keyword arguments.
+def _scalar_factory(statements: _Statements, d: int, slow: tuple[str, ...],
+                    consts: tuple[str, ...], operands: tuple[str, ...]):
+    """The compiled factory of the statements' float kernel on d axes, slow
+    being the force's statements; consts and operands name its arguments.
 
-    Each array operation is written out axis by axis, in the array
-    kernel's order and on the same operands, so every state rounds as the
-    array kernels' does (but for a NaN's sign, which numpy too picks by
-    array size).  The floats x_i and v_i and the carried kicks live in the
-    kernel's closure between calls, as the array kernels' live in their
-    buffers; each call writes q and p and returns whether every component
-    lies within the cap (False for a NaN), integrate's blow-up test made
-    on the floats (see Kernel).
+    Each statement is written out axis by axis by name substitution: vector
+    y becomes y0, y1, ..., per-axis constant c c_0, c_1, ..., and ALL(e) the
+    conjunction of e on every axis.  The carried floats live in the
+    kernel's closure between calls; each call writes q and p and returns
+    whether every component lies within the cap (False for a NaN),
+    integrate's blow-up test made on the floats (see Kernel).
     """
-    def each(*templates: str) -> list[str]:
-        return [t.format(i=i) for i in range(d) for t in templates]
+    def axis_name(match: re.Match) -> str:
+        name = match.group()
+        if name in _PER_AXIS:
+            return name + "_{i}"
+        return name if name in _FLOATS or name in ("abs", "isfinite") else name + "{i}"
+
+    def each(text: str) -> list[str]:
+        template = _NAME.sub(axis_name, text)
+        return [template.format(i=i) for i in range(d)]
+
+    def every(match: re.Match) -> str:
+        return f"({' and '.join(each(match.group(1)))})"
+
+    def render(lines: tuple[str, ...]) -> list[str]:
+        return [pad + line for pad, kind, text in _parsed(lines) for line in (
+            slow if kind == "slow" else each(text) if kind == "vector"
+            else [_ALL.sub(every, text)])]
 
     def indent(lines) -> list[str]:
         return ["    " + line for line in lines]
 
-    def unpack(names: str, value: str) -> str:
-        return "".join(f"{names.format(i=i)}, " for i in range(d)) + f"= {value}"
+    def unpack(name: str, value: str) -> str:
+        return "".join(f"{name}{i}, " for i in range(d)) + f"= {value}"
 
-    carried = ["x", "v"]
-    setup = [unpack("w2_{i}", "w2")]
-    if method is Method.MIDPOINT_FULL:
-        # _midpoint_full_kernel's rules: a failed test raises NoConvergence
-        # exactly when some n_i is not finite
-        step = [
-            *each("b{i} = x{i} + half * v{i}"), *each("m{i} = b{i}"),
-            "for i in range(max_iter):",
-            *indent(slow), *indent(each("n{i} = b{i} + quarter_h2 * (g{i} - w2_{i} * m{i})")),
-            "    done = " + " and ".join(each("abs(n{i} - m{i}) <= tol")),
-            "    if not done and not (" + " and ".join(each("isfinite(n{i})")) + "):",
-            "        raise NoConvergence(i + 1)",
-            *indent(each("m{i} = n{i}")),
-            "    if done:",
-            "        break",
-            "else:",
-            "    raise NoConvergence(max_iter)",
-            *slow, *each("v{i} = v{i} + h * (g{i} - w2_{i} * m{i})", "x{i} = 2.0 * m{i} - x{i}"),
-        ]
-    else:
-        # _kick_drift_kick, whose half kick k_i is carried from step to step
-        carried.append("k")
-        # Stormer-Verlet kicks with the full force, the others with g
-        full = " - w2_{i} * x{i}" if method is Method.SV else ""
-        force = [*slow, *each("k{i} = half * (g{i}" + full + ")")]
-        if method is Method.SV:
-            inner = each("x{i} = x{i} + h * v{i}")
-        elif method is Method.IMEX:
-            setup.append(unpack("den_{i}", "den"))
-            inner = each("w2x = w2_{i} * x{i}",
-                         "x{i} = (x{i} + h * v{i} - quarter_h2 * w2x) / den_{i}",
-                         "v{i} = v{i} - half * (w2x + w2_{i} * x{i})")
-        elif method is Method.RESPA:
-            # _fast_verlet, a kick-drift-kick whose kick ks_i is carried too
-            carried.append("ks")
-            setup += [unpack("nw2_{i}", "nw2"), *each("ks{i} = half_dt * (nw2_{i} * x{i})")]
-            inner = ["for _ in range(substeps):", *indent(each(
-                "v{i} = v{i} + ks{i}", "x{i} = x{i} + dt * v{i}",
-                "ks{i} = half_dt * (nw2_{i} * x{i})", "v{i} = v{i} + ks{i}"))]
-        else:
-            setup += [unpack(name + "_{i}", name) for name in ("cos", "hw2", "den")]
-            inner = each("x{i}, v{i} = ((cos_{i} * x{i} + h * v{i}) / den_{i}, "
-                         "(cos_{i} * v{i} - hw2_{i} * x{i}) / den_{i})")
-        setup += force
-        step = [*each("v{i} = v{i} + k{i}"), *inner, *force, *each("v{i} = v{i} + k{i}")]
+    carried = ("x", "v") + statements.carried
     source = "\n".join([
-        f"def _scalar_kernel(q, p, {', '.join(consts + operands)}):",
+        f"def _scalar_kernel(q, p, cap, {', '.join(consts + operands)}):",
         *indent([
             # a memoryview takes an element faster than the array does
             "q, p = memoryview(q), memoryview(p)",
-            unpack("x{i}", "q.tolist()"), unpack("v{i}", "p.tolist()"), *setup,
+            unpack("x", "q.tolist()"), unpack("v", "p.tolist()"),
+            *(unpack(c + "_", c) for c in consts if c in _PER_AXIS),
+            *render(statements.setup),
             "def kernel():",
             *indent([
                 "nonlocal " + ", ".join(f"{name}{i}" for name in carried for i in range(d)),
-                *step, *each("q[{i}] = x{i}", "p[{i}] = v{i}"),
-                "return " + " and ".join(each("abs(x{i}) <= cap", "abs(v{i}) <= cap")),
+                *render(statements.step),
+                *(f"q[{i}] = x{i}" for i in range(d)), *(f"p[{i}] = v{i}" for i in range(d)),
+                "return " + " and ".join(f"abs({z}{i}) <= cap" for i in range(d) for z in "xv"),
             ]),
             "return kernel",
         ]),
     ])
     namespace = {"isfinite": math.isfinite, "NoConvergence": NoConvergence}
-    exec(compile(source, f"<oscint scalar kernel: {method.value}, d={d}>", "exec"), namespace)
+    exec(compile(source, f"<oscint scalar kernel: {statements.name}, d={d}>", "exec"), namespace)
     return namespace["_scalar_kernel"]
+
+
+_UFUNCS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: np.divide,
+           ast.LtE: np.less_equal, "abs": np.absolute, "isfinite": np.isfinite}
+
+
+def _lower(node: ast.expr, ops: list[tuple], out: str | None, depth: int = -1) -> str:
+    """Appends to ops the calls, (ufunc, *operands, output), that evaluate
+    node into the buffer out or else the scratch slot s{depth}, and returns
+    the name holding its value (a literal's is its repr).  Operand i goes
+    to slot depth + 1 + i, so no call writes one of its operands: numpy
+    takes a slow buffered path (about 1 us a call) for an in-place
+    operation on a one-element array.  Only the outermost call writes out,
+    so v = v + k accumulates in place."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Constant):
+        return repr(float(node.value))
+    if isinstance(node, ast.BinOp):
+        ufunc, operands = _UFUNCS[type(node.op)], (node.left, node.right)
+    elif isinstance(node, ast.Compare):
+        ufunc, operands = _UFUNCS[type(node.ops[0])], (node.left, node.comparators[0])
+    else:
+        ufunc, operands = _UFUNCS[node.func.id], node.args
+    names = [_lower(operand, ops, None, depth + 1 + i) for i, operand in enumerate(operands)]
+    out = out or f"s{depth}"
+    ops.append((ufunc, *names, out))
+    return out
+
+
+def _lowered(lines: tuple[str, ...], runs: list[tuple[list[tuple], bool]]) -> list[str]:
+    """The block's Python lines: the vector statements between two Python
+    lines append one run (ops, False) to runs, called as _runJ(), and each
+    ALL(e) one run (ops, True) that writes e into the boolean buffer _b and
+    returns _b.all()."""
+    def every(match: re.Match) -> str:
+        runs.append((list(_ops(match.group(1))), True))
+        return f"_run{len(runs) - 1}()"
+
+    python, run_pad = [], None
+    for pad, kind, text in _parsed(lines):
+        if kind == "python":
+            python.append(pad + _ALL.sub(every, text))
+            run_pad = None
+            continue
+        if pad != run_pad:
+            python.append(f"{pad}_run{len(runs)}()")
+            runs.append(([], False))
+            run_pad = pad
+        runs[-1][0].extend([("SLOW",)] if kind == "slow" else _ops(text))
+    return python
+
+
+@lru_cache(maxsize=None)
+def _ops(text: str) -> tuple[tuple, ...]:
+    """The ops of the vector statement target = value, or of ALL's e into _b."""
+    target, _, value = text.rpartition(" = ")
+    node = ast.parse(value, mode="eval").body
+    if isinstance(node, ast.Name):
+        return ((np.copyto, target, node.id),)
+    ops = []
+    _lower(node, ops, target or "_b")
+    return tuple(ops)
+
+
+@lru_cache(maxsize=None)
+def _array_program(statements: _Statements):
+    """The statements lowered once per process: their runs (_lowered), and
+    the compiled factory of the kernel from the bound runs and constants,
+    or None where no line is Python (the step is then one run, the setup
+    at most one)."""
+    runs = []
+    setup, step = _lowered(statements.setup, runs), _lowered(statements.step, runs)
+    runs = tuple((tuple(ops), test) for ops, test in runs)
+    if all(line.startswith("_run") for line in setup + step):
+        return runs, None
+    names = [f"_run{i}" for i in range(len(runs))] + list(_names(statements)[0])
+    source = "\n".join([f"def _array_kernel({', '.join(names)}):",
+                        *("    " + line for line in setup), "    def kernel():",
+                        *("        " + line for line in step), "    return kernel"])
+    namespace = {"NoConvergence": NoConvergence}
+    exec(compile(source, f"<oscint array kernel: {statements.name}>", "exec"), namespace)
+    return runs, namespace["_array_kernel"]
+
+
+def _run(calls: list[Callable[[], object]], every: Callable[[], bool] | None) -> Callable:
+    """One call that makes the calls in order and returns every(), or None."""
+    def run():
+        for call in calls:
+            call()
+        return every and every()
+
+    return run
+
+
+def _array_kernel(
+    sys: OscillatorySystem, statements: _Statements, consts: dict, q: np.ndarray, p: np.ndarray
+) -> Kernel:
+    """The statements' kernel on q and p, one state or a block of states
+    (leading axes): each op a partial on buffers shaped like q.  A float or
+    literal is an operand array: it gives the products a scalar gives,
+    without numpy's per-call scalar conversion."""
+    runs, factory = _array_program(statements)
+    names, slow = _names(statements)
+    shape = q.shape
+    buffers = {"x": q, "v": p}
+    for name in names:
+        value = consts[name]
+        buffers[name] = np.full(shape, value) if isinstance(value, float) else value
+
+    def buffer(name: str) -> np.ndarray:
+        if name not in buffers:  # a vector, a scratch slot, _b or a literal
+            buffers[name] = (np.full(shape, float(name)) if name[0].isdigit()
+                             else np.empty(shape, dtype=bool if name == "_b" else float))
+        return buffers[name]
+
+    if slow is not None:  # g = SLOW(y), slow being (g, y)
+        buffers["SLOW"] = bind_slow_force(sys.slow_force, buffer(slow[1]), buffer(slow[0]))
+    calls = [_run([partial(f, *map(buffer, args)) if args else buffers[f] for f, *args in ops],
+                  buffer("_b").all if test else None) for ops, test in runs]
+    if factory is None:
+        for setup in calls[:-1]:
+            setup()
+        return calls[-1]
+    return factory(*calls, **{name: consts[name] for name in names})
+
+
+def _bind(sys: OscillatorySystem, statements: _Statements, consts: dict,
+          q: np.ndarray, p: np.ndarray) -> Kernel:
+    """The statements' kernel bound to q and p, in floats where it can be."""
+    kernel = (q.ndim == 1 and q.size <= SCALAR_MAX_D
+              and _scalar_kernel(sys, statements, consts, q, p))
+    return kernel or _array_kernel(sys, statements, consts, q, p)
 
 
 def _kernel(
@@ -459,21 +470,7 @@ def _kernel(
     substeps: int = 1,
 ) -> Kernel:
     """The method's kernel bound to q and p; substeps is read by RESPA only."""
-    if q.ndim == 1 and q.size <= SCALAR_MAX_D:
-        kernel = _scalar_kernel(sys, method, h, q, p, substeps)
-        if kernel is not None:
-            return kernel
-    if method is Method.MIDPOINT_FULL:
-        return _midpoint_full_kernel(sys, h, q, p)
-    if method is Method.SV:
-        return _kick_drift_kick(partial(_bind_total_force, sys), _drift(h, q, p), h, q, p)
-    if method is Method.IMEX:
-        inner = _fast_midpoint(sys.w2, h, q, p)
-    elif method is Method.RESPA:
-        inner = _fast_verlet(sys.w2, h, substeps, q, p)
-    else:
-        inner = _fast_rotation(sys.omega, h, q, p)
-    return _kick_drift_kick(partial(bind_slow_force, sys.slow_force), inner, h, q, p)
+    return _bind(sys, _STATEMENTS[method], _constants(sys, method, h, substeps), q, p)
 
 
 def _state_buffers(sys: OscillatorySystem, state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -514,8 +511,10 @@ def kick_slow(sys: OscillatorySystem, state: State, dt: float) -> State:
 
 
 def step_midpoint_fast(sys: OscillatorySystem, state: State, h: float) -> State:
-    """Implicit midpoint step of the fast quadratic part only (see _fast_midpoint)."""
-    return _state_step(sys, partial(_fast_midpoint, sys.w2, h), state, h)
+    """Implicit midpoint step of the fast quadratic part only: IMEX's stiff
+    flow (_STIFF_MIDPOINT) alone, on IMEX's constants."""
+    consts = _constants(sys, Method.IMEX, h, 1)
+    return _state_step(sys, partial(_bind, sys, _FAST_MIDPOINT, consts), state, h)
 
 
 def step_imex(sys: OscillatorySystem, state: State, h: float) -> State:
@@ -537,12 +536,12 @@ def step_respa(sys: OscillatorySystem, state: State, h: float, substeps: int) ->
 
 def step_modified_impulse(sys: OscillatorySystem, state: State, h: float) -> State:
     """Impulse method whose fast step rotates each axis by its modified
-    frequency (see _fast_rotation)."""
+    frequency (see _STATEMENTS)."""
     return _state_step(sys, partial(_kernel, sys, Method.MODIFIED_IMPULSE, h), state, h)
 
 
 def step_midpoint_full(sys: OscillatorySystem, state: State, h: float) -> State:
-    """Implicit midpoint on the full potential (see _midpoint_full_kernel)."""
+    """Implicit midpoint on the full potential (see _STATEMENTS)."""
     return _state_step(sys, partial(_kernel, sys, Method.MIDPOINT_FULL, h), state, h)
 
 

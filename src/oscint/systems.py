@@ -12,10 +12,10 @@ The built-in slow forces are SlowForce objects: besides g(x) they offer
 bind(x, out), a call that writes g(x) into the fixed buffer out each time
 it runs, so a run that steps its state in place evaluates the force
 without allocating, and scalar_source, the same arithmetic as Python
-statements on floats, from which the steppers generate kernels for short
-states.  bind_slow_force gives any other callable the same shape.  Like
-the steppers' kernels, a bound force looks each ufunc up once, through a
-module-level name, and passes its output positionally.
+statements on floats, which the steppers' float kernels for short states
+inline.  bind_slow_force gives any other callable the same shape.  A
+bound force looks each ufunc up once, through a module-level name, and
+passes its output positionally, as the steppers' array kernels do.
 """
 from __future__ import annotations
 
@@ -139,10 +139,12 @@ class SlowForce:
     bind(x, out) returns a call that writes g(x) into out, reading x as it
     is when the call runs; views and scratch are set up once, at bind time.
     Calling the force allocates out, binds and runs, so both ways share one
-    arithmetic.  x and out may carry leading axes (a block of states).
+    arithmetic.  x and out may carry leading axes (a block of states).  The
+    steppers' array kernels evaluate a method's g = SLOW(y) through bind.
 
-    scalar_source, if the force has one, lets a short single state step in
-    generated Python float code (steppers._scalar_kernel).
+    scalar_source, if the force has one, is the same g = SLOW(y) in the
+    float kernels that a short single state steps in
+    (steppers._scalar_kernel).
     """
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

@@ -438,13 +438,16 @@ def _assert_pinned(sys_, force, state0, name, h, n_steps):
 
 
 @pytest.mark.parametrize("name", PINNED)
-def test_kernels_match_frozen_kernels_bit_for_bit(lattice, name):
-    sys_, state0 = lattice
+# exchange's lattice, which a single state steps in floats, and the
+# smallest one past SCALAR_MAX_D axes, which it steps on the arrays
+@pytest.mark.parametrize("ell", [ELL, steppers.SCALAR_MAX_D // 2 + 1])
+def test_kernels_match_frozen_kernels_bit_for_bit(ell, name):
+    sys_ = fpu_build(FpuParams(ell=ell, omega=OMEGA))
     # the canonical start, and a rest state of signed zeros (every sign
     # reads +0 after the first step)
-    signed_zeros = State(0.0, [0.0, -0.0] * ELL, [-0.0, 0.0] * ELL)
-    for start in (state0, signed_zeros):
-        _assert_pinned(sys_, frozen_fpu_slow_force(ELL), start, name, H, N_STEPS)
+    signed_zeros = State(0.0, [0.0, -0.0] * ell, [-0.0, 0.0] * ell)
+    for start in (fpu_initial_state(sys_), signed_zeros):
+        _assert_pinned(sys_, frozen_fpu_slow_force(ell), start, name, H, N_STEPS)
 
 
 @pytest.mark.parametrize("name", PINNED)

@@ -1,4 +1,4 @@
-"""Cost of one integrate step per method, in microseconds.
+"""Cost of one integrate step per method, and of binding a kernel, in microseconds.
 
     python3 tools/step_cost.py [SRC ...] [--repeats N]
 
@@ -26,6 +26,11 @@ more cases time the model-sweep commands and the loops inside them:
     lattice (ell = 1, 2, 3, 4, 6, 8) on both paths: "scalar" with
     SCALAR_MAX_D raised to cover d = 2 ell, "array" with the slow force
     behind a plain wrapper that keeps its bind but has no scalar source.
+  - bind ell=N, METHOD cold|warm: one steppers._kernel call binding the
+    method to the canonical start of the ell = 3 lattice (generated float
+    code) or the ell = 1000 lattice (array kernels): "cold" with every
+    factory cache of the steppers module cleared first, so the bind
+    renders and compiles what it needs, "warm" after an untimed bind.
 The table gives the median and quartiles over the repeats.  Last, for
 each lattice size and method, the repeats in which the scalar path beat
 the array path; SCALAR_MAX_D is the largest d at which it wins 9 of 10.
@@ -51,6 +56,7 @@ DEFAULT_STEPS = 2000
 SWEEP_STEPS = 2000
 PATH_ELLS = (1, 2, 3, 4, 6, 8)
 PATH_METHODS = ("sv", "imex")
+BIND_ELLS = (3, 1000)
 
 
 def load(src: Path, alias: str):
@@ -133,6 +139,30 @@ def us_per_lattice_step(oscint, ell: int, method: str, path: str) -> float:
 
 
 @cache
+def lattice_and_start(oscint, ell: int):
+    lattice = oscint.fpu_build(oscint.FpuParams(ell=ell, omega=50.0))
+    return lattice, oscint.fpu_initial_state(lattice)
+
+
+def us_per_bind(oscint, ell: int, method: str, cold: bool) -> float:
+    """One bind of the method's kernel to a fresh copy of the ell lattice's
+    canonical start; cold clears the steppers module's factory caches."""
+    steppers = oscint.steppers
+    lattice, state0 = lattice_and_start(oscint, ell)
+    _, q, p = steppers._state_buffers(lattice, state0)
+    args = (lattice, steppers.Method(method), H, q, p, 10 if method == "respa" else 1)
+    if cold:
+        for obj in vars(steppers).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    else:
+        steppers._kernel(*args)
+    start = time.perf_counter()
+    steppers._kernel(*args)
+    return (time.perf_counter() - start) * 1e6
+
+
+@cache
 def sweep_setup(oscint):
     """The default resonance sweep's 900 matrices, springs and starts, as
     experiments.resonance_sweep builds them."""
@@ -178,19 +208,24 @@ def main() -> None:
             for path in ("scalar", "array"):
                 cases[f"ell={ell}", f"{m} {path}"] = partial(
                     us_per_lattice_step, ell=ell, method=m, path=path)
+    for ell in BIND_ELLS:
+        for m in METHODS:
+            for temperature in ("cold", "warm"):
+                cases[f"bind ell={ell}", f"{m} {temperature}"] = partial(
+                    us_per_bind, ell=ell, method=m, cold=temperature == "cold")
     times = {(i, c): [] for i in range(len(packages)) for c in cases}
     for r in range(args.repeats):
         for case, timer in cases.items():
             order = range(len(packages)) if r % 2 == 0 else reversed(range(len(packages)))
             for i in order:
                 times[i, case].append(timer(packages[i]))
-    print("system  case".ljust(28) + "".join(f"{str(src):>34}" for src in args.src))
+    print("system  case".ljust(36) + "".join(f"{str(src):>34}" for src in args.src))
     for s, m in cases:
         cells = []
         for i in range(len(packages)):
             q1, q2, q3 = statistics.quantiles(times[i, (s, m)], n=4)
             cells.append(f"{q2:10.2f} [{q1:.2f}, {q3:.2f}]".rjust(34))
-        print(f"{s:<8}{m}".ljust(28) + "".join(cells))
+        print(f"{s:<14}{m}".ljust(36) + "".join(cells))
     print("\nrepeats won by the scalar path")
     for ell in PATH_ELLS:
         for m in PATH_METHODS:
