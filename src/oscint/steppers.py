@@ -12,12 +12,15 @@ a drift; the impulse method (r-RESPA) kicks with the slow force around
 method, around a rotation of each axis by its modified frequency.  The
 fully implicit midpoint step on the whole potential stands apart.
 
-A kernel, bound to one run's buffers q and p by _kernel, advances them
-one step in place at each call and allocates nothing when the slow force
-is a SlowForce.  integrate holds the state in one buffer z = [q | p];
-every single step outside it (step_*, analysis.propagation_matrix) goes
-through _step_once, which silences a diverging midpoint-full iteration's
-overflow, as integrate does for a whole run.
+A kernel, bound to one run's buffers q and p by _kernel, advances them in
+place by up to n steps a call, kernel(n), testing each new state against
+the blow-up cap and stopping at the first that fails (see Kernel); it
+allocates nothing when the slow force is a SlowForce.  integrate holds the
+state in one buffer z = [q | p] and calls the kernel once per block of
+steps up to the next recorded state; every single step outside it
+(step_*, analysis.propagation_matrix) goes through _step_once, kernel(1),
+which silences a diverging midpoint-full iteration's overflow, as
+integrate does for a whole run.
 
 The statements are rendered two ways from one set of constants
 (_constants).  On arrays (_array_kernel) each statement is lowered, once
@@ -28,12 +31,13 @@ call costs ~0.3 us however short the state, and a step makes 10-20 of
 them for a few dozen flops.  So a single state (q.ndim == 1) of at most
 SCALAR_MAX_D axes whose slow force has scalar source
 (SlowForce.scalar_source) steps in Python floats, in straight-line code
-generated for the method, d and the force (_scalar_kernel).  Python rounds
-+ - * / as numpy does, so every state is bit for bit the array kernels'
-(but for a NaN's sign, which numpy too picks by array size).  The lattice
-force's cube stays one np.power call, the one operation floats cannot
-copy.  Past SCALAR_MAX_D axes (measured, tools/step_cost.py) the arrays
-win; blocks and forces without scalar source take them too.
+generated for the method, d and the force (_scalar_kernel), which loops
+over the steps of a call itself.  Python rounds + - * / as numpy does, so
+every state is bit for bit the array kernels' (but for a NaN's sign, which
+numpy too picks by array size).  The lattice force's cube stays one
+np.power call, the one operation floats cannot copy.  Past SCALAR_MAX_D
+axes (measured, tools/step_cost.py) the arrays win; blocks and forces
+without scalar source take them too.
 """
 from __future__ import annotations
 
@@ -43,6 +47,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain, repeat
 from typing import Callable
 
 import numpy as np
@@ -60,18 +65,22 @@ FP_MAX_ITER = 200
 # substep) and seconds on the ell = 1e5 lattice (4-9 ms a step).
 MAX_STEPS = 10 ** 8
 # Longest single state that steps in generated float code (_scalar_kernel):
-# the largest lattice d (of 2 to 16) at which it beat the array kernels in
-# at least 9 of 10 repeats of tools/step_cost.py, for Stormer-Verlet and
-# IMEX alike.
+# the largest lattice d (of 2 to 32) at which it beat the array kernels in
+# at least 9 of 10 repeats of every run of tools/step_cost.py, for
+# Stormer-Verlet and IMEX alike (d = 20 won 8 to 10 of 10).
 SCALAR_MAX_D = 16
 
 COMPLETED = "completed"
 BLOWUP = "blowup"
 
-# A kernel advances its bound buffers q and p by one step in place at each
-# call and returns None (on arrays) or, as a float kernel tests the new
-# state itself, whether every component lies within BLOWUP_NORM_CAP.
-Kernel = Callable[[], bool | None]
+# A kernel, called as kernel(n) with n >= 1, advances its bound buffers q
+# and p in place by up to n steps.  After each step it tests every
+# component of the new state against BLOWUP_NORM_CAP (a NaN fails) and
+# stops right after the first state that fails.  It returns how many of its
+# steps stayed within the cap: n, or k < n when step k + 1 left it, q and p
+# then holding that state.  A NoConvergence raised in step k + 1 leaves q
+# and p at the state before it, with k in its steps attribute.
+Kernel = Callable[[int], int]
 
 
 class NoConvergence(RuntimeError):
@@ -80,6 +89,8 @@ class NoConvergence(RuntimeError):
     def __init__(self, iterations: int):
         super().__init__(f"fixed point not converged after {iterations} iterations")
         self.iterations = iterations
+        # the steps a kernel took before the failing one (see Kernel)
+        self.steps = 0
 
 
 class Method(enum.Enum):
@@ -109,7 +120,7 @@ class StepperSpec:
 @dataclass(frozen=True)
 class _Statements:
     """One method in vector notation: setup runs once, when the kernel is
-    bound, and step at each call.  x and v stand for q and p; w2, den, cos,
+    bound, and step once per step.  x and v stand for q and p; w2, den, cos,
     hw2 and nw2 are per-axis constants, h, half, quarter_h2, dt, half_dt
     and tol floats, max_iter and substeps ints (_constants).  Any other name
     is a vector: x, v and the carried ones keep their values between calls,
@@ -222,6 +233,7 @@ _NAME = re.compile(r"\b[A-Za-z_]\w*")
 _SLOW = re.compile(r"(\w+) = SLOW\((\w+)\)$")
 _ALL = re.compile(r"ALL\((.*)\)")
 _PYTHON = re.compile(r"(for|if|else|raise|break)\b")
+_REPEAT = re.compile(r"for _ in range\((\w+)\):$")
 _FLOATS = frozenset(("h", "half", "quarter_h2", "dt", "half_dt", "tol"))
 _PER_AXIS = frozenset(("w2", "den", "cos", "hw2", "nw2"))
 _CONSTANTS = _FLOATS | _PER_AXIS | {"max_iter", "substeps"}
@@ -279,10 +291,13 @@ def _scalar_factory(statements: _Statements, d: int, slow: tuple[str, ...],
 
     Each statement is written out axis by axis by name substitution: vector
     y becomes y0, y1, ..., per-axis constant c c_0, c_1, ..., and ALL(e) the
-    conjunction of e on every axis.  The carried floats live in the
-    kernel's closure between calls; each call writes q and p and returns
-    whether every component lies within the cap (False for a NaN),
-    integrate's blow-up test made on the floats (see Kernel).
+    conjunction of e on every axis.  The kernel (see Kernel) loops over the
+    step itself.  The carried floats, x and v among them, live in one
+    closure tuple between calls and in fast locals within one; the
+    constants and the force's operands are its default arguments, fast
+    locals too.  After each step -cap <= y <= cap is tested on every
+    component, which decides as abs(y) <= cap does (False for a NaN), and
+    q and p are written once, when the call ends.
     """
     def axis_name(match: re.Match) -> str:
         name = match.group()
@@ -308,21 +323,39 @@ def _scalar_factory(statements: _Statements, d: int, slow: tuple[str, ...],
     def unpack(name: str, value: str) -> str:
         return "".join(f"{name}{i}, " for i in range(d)) + f"= {value}"
 
-    carried = ("x", "v") + statements.carried
+    state = "".join(f"{name}{i}, " for name in ("x", "v") + statements.carried for i in range(d))
+    defaults = [c for c in consts if c not in _PER_AXIS]
+    defaults += [f"{c}_{i}" for c in consts if c in _PER_AXIS for i in range(d)]
+    defaults += [*operands, "cap", "ncap", "q", "p"]
     source = "\n".join([
         f"def _scalar_kernel(q, p, cap, {', '.join(consts + operands)}):",
         *indent([
             # a memoryview takes an element faster than the array does
-            "q, p = memoryview(q), memoryview(p)",
+            "q, p, ncap = memoryview(q), memoryview(p), -cap",
             unpack("x", "q.tolist()"), unpack("v", "p.tolist()"),
             *(unpack(c + "_", c) for c in consts if c in _PER_AXIS),
             *render(statements.setup),
-            "def kernel():",
+            f"_state = {state}",
+            f"def kernel(n, {', '.join(f'{name}={name}' for name in defaults)}):",
             *indent([
-                "nonlocal " + ", ".join(f"{name}{i}" for name in carried for i in range(d)),
-                *render(statements.step),
-                *(f"q[{i}] = x{i}" for i in range(d)), *(f"p[{i}] = v{i}" for i in range(d)),
-                "return " + " and ".join(f"abs({z}{i}) <= cap" for i in range(d) for z in "xv"),
+                "nonlocal _state",
+                f"{state}= _state",
+                "try:",
+                "    for _i in range(n):",
+                *indent(indent([
+                    *render(statements.step),
+                    "if not (" + " and ".join(
+                        f"ncap <= {z}{i} <= cap" for i in range(d) for z in "xv") + "):",
+                    "    n = _i",
+                    "    break",
+                ])),
+                "except NoConvergence as _exc:",
+                "    _exc.steps = _i",
+                "    raise",
+                "finally:",
+                *indent([f"_state = {state}", *(f"q[{i}] = x{i}" for i in range(d)),
+                         *(f"p[{i}] = v{i}" for i in range(d))]),
+                "return n",
             ]),
             "return kernel",
         ]),
@@ -360,24 +393,31 @@ def _lower(node: ast.expr, ops: list[tuple], out: str | None, depth: int = -1) -
     return out
 
 
-def _lowered(lines: tuple[str, ...], runs: list[tuple[list[tuple], bool]]) -> list[str]:
+def _lowered(lines: tuple[str, ...], runs: list[tuple[list[tuple], bool, str | None]]) -> list[str]:
     """The block's Python lines: the vector statements between two Python
-    lines append one run (ops, False) to runs, called as _runJ(), and each
-    ALL(e) one run (ops, True) that writes e into the boolean buffer _b and
-    returns _b.all()."""
+    lines append one run (ops, False, None) to runs, called as _runJ(), and
+    each ALL(e) one run (ops, True, None) that writes e into the boolean
+    buffer _b and returns _b.all().  A loop for _ in range(c), c an int
+    constant, over vector statements alone is no Python line: its body is
+    one run (ops, False, "c"), whose ops are made c times in a row."""
     def every(match: re.Match) -> str:
-        runs.append((list(_ops(match.group(1))), True))
+        runs.append((list(_ops(match.group(1))), True, None))
         return f"_run{len(runs) - 1}()"
 
     python, run_pad = [], None
     for pad, kind, text in _parsed(lines):
+        if kind == "python" and (repeat := _REPEAT.match(text)):
+            python.append(f"{pad}_run{len(runs)}()")
+            runs.append(([], False, repeat.group(1)))
+            run_pad = pad + "    "
+            continue
         if kind == "python":
             python.append(pad + _ALL.sub(every, text))
             run_pad = None
             continue
         if pad != run_pad:
             python.append(f"{pad}_run{len(runs)}()")
-            runs.append(([], False))
+            runs.append(([], False, None))
             run_pad = pad
         runs[-1][0].extend([("SLOW",)] if kind == "slow" else _ops(text))
     return python
@@ -397,22 +437,22 @@ def _ops(text: str) -> tuple[tuple, ...]:
 
 @lru_cache(maxsize=None)
 def _array_program(statements: _Statements):
-    """The statements lowered once per process: their runs (_lowered), and
-    the compiled factory of the kernel from the bound runs and constants,
-    or None where no line is Python (the step is then one run, the setup
-    at most one)."""
+    """The statements lowered once per process: their runs (_lowered), how
+    many of them the setup makes, and the compiled factory of the one-step
+    call from the bound runs and constants, or None where no line is Python
+    (the setup and the step are then runs in a row)."""
     runs = []
     setup, step = _lowered(statements.setup, runs), _lowered(statements.step, runs)
-    runs = tuple((tuple(ops), test) for ops, test in runs)
+    runs = tuple((tuple(ops), test, repeat) for ops, test, repeat in runs)
     if all(line.startswith("_run") for line in setup + step):
-        return runs, None
+        return runs, len(setup), None
     names = [f"_run{i}" for i in range(len(runs))] + list(_names(statements)[0])
     source = "\n".join([f"def _array_kernel({', '.join(names)}):",
                         *("    " + line for line in setup), "    def kernel():",
                         *("        " + line for line in step), "    return kernel"])
     namespace = {"NoConvergence": NoConvergence}
     exec(compile(source, f"<oscint array kernel: {statements.name}>", "exec"), namespace)
-    return runs, namespace["_array_kernel"]
+    return runs, len(setup), namespace["_array_kernel"]
 
 
 def _run(calls: list[Callable[[], object]], every: Callable[[], bool] | None) -> Callable:
@@ -429,10 +469,11 @@ def _array_kernel(
     sys: OscillatorySystem, statements: _Statements, consts: dict, q: np.ndarray, p: np.ndarray
 ) -> Kernel:
     """The statements' kernel on q and p, one state or a block of states
-    (leading axes): each op a partial on buffers shaped like q.  A float or
-    literal is an operand array: it gives the products a scalar gives,
-    without numpy's per-call scalar conversion."""
-    runs, factory = _array_program(statements)
+    (leading axes): each op a partial on buffers shaped like q, the step
+    one call (_stepping).  A float or literal is an operand array: it gives
+    the products a scalar gives, without numpy's per-call scalar
+    conversion."""
+    runs, n_setup, factory = _array_program(statements)
     names, slow = _names(statements)
     shape = q.shape
     buffers = {"x": q, "v": p}
@@ -448,13 +489,40 @@ def _array_kernel(
 
     if slow is not None:  # g = SLOW(y), slow being (g, y)
         buffers["SLOW"] = bind_slow_force(sys.slow_force, buffer(slow[1]), buffer(slow[0]))
-    calls = [_run([partial(f, *map(buffer, args)) if args else buffers[f] for f, *args in ops],
-                  buffer("_b").all if test else None) for ops, test in runs]
+    calls = [[partial(f, *map(buffer, args)) if args else buffers[f] for f, *args in ops]
+             * (consts[repeat] if repeat else 1) for ops, _, repeat in runs]
     if factory is None:
-        for setup in calls[:-1]:
-            setup()
-        return calls[-1]
-    return factory(*calls, **{name: consts[name] for name in names})
+        _run(sum(calls[:n_setup], []), None)()
+        return _stepping(_run(sum(calls[n_setup:], []), None), q, p)
+    calls = [_run(run, buffer("_b").all if test else None)
+             for run, (_, test, _) in zip(calls, runs)]
+    return _stepping(factory(*calls, **{name: consts[name] for name in names}), q, p)
+
+
+def _stepping(step: Callable[[], object], q: np.ndarray, p: np.ndarray) -> Kernel:
+    """The kernel (see Kernel) of an array kernel's one-step call on q and
+    p.  After each step q.q + p.p <= cap^2 bounds every component by the
+    cap (NaN and overflow fail it), and only a failing state pays for the
+    exact test."""
+    cap = BLOWUP_NORM_CAP
+    cap2 = cap * cap
+    absolute = np.abs
+    # x.x over every element of x, a block's too
+    qdot, pdot = (q.dot, p.dot) if q.ndim == 1 else (partial(np.vdot, q), partial(np.vdot, p))
+
+    def kernel(n: int) -> int:
+        try:
+            for i in range(n):
+                step()
+                if not (qdot(q) + pdot(p) <= cap2
+                        or absolute(q).max() <= cap and absolute(p).max() <= cap):
+                    return i
+        except NoConvergence as exc:
+            exc.steps = i
+            raise
+        return n
+
+    return kernel
 
 
 def _bind(sys: OscillatorySystem, statements: _Statements, consts: dict,
@@ -486,14 +554,15 @@ def _state_buffers(sys: OscillatorySystem, state: State) -> tuple[np.ndarray, np
 def _step_once(
     bind: Callable[[np.ndarray, np.ndarray], Kernel], q: np.ndarray, p: np.ndarray
 ) -> None:
-    """Advance q and p in place by one step of the kernel bind(q, p) makes.
+    """Advance q and p in place by one step of the kernel bind(q, p) makes,
+    kernel(1), whatever the state's norm.
 
     A diverging midpoint-full iteration may overflow before it raises
     NoConvergence; that is silenced here, once per step, as integrate
     silences it once per run.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        bind(q, p)()
+        bind(q, p)(1)
 
 
 def _state_step(
@@ -614,8 +683,10 @@ def integrate(
     the run with BLOWUP status and records the offending sample; stepper
     failures (for example fixed-point stagnation) are reported the same way
     with a NaN sample and the cause retained.  The run steps its own copy of
-    state0 in place; samples and final_state are copies.  Energies are
-    evaluated once, over the recorded block.
+    state0 in place, one kernel call (see Kernel) per block of steps up to
+    the next recorded one, the kernel testing each step's state; samples and
+    final_state are copies.  Energies are evaluated once, over the recorded
+    block.
     """
     _check_count("stride", stride)
     t0 = state0.t
@@ -627,47 +698,50 @@ def integrate(
     # the start, every stride-th state, and a possible blow-up sample
     n_rows = n_steps // stride + 2
     zs = np.empty((n_rows, 2 * d))
-    steps = np.empty(n_rows, dtype=np.int64)
-    zs[0], steps[0] = z, 0
+    zs[0] = z
     rows = 1
     n = 0
-    cap = BLOWUP_NORM_CAP
-    cap2 = cap * cap
-    zdot = z.dot
     status, t_blowup, cause = COMPLETED, None, None
     # a diverging run may overflow before the cap test stops it, as early
     # as in the force evaluation that binding the kernel makes
     with np.errstate(over="ignore", invalid="ignore"):
         kernel = _kernel(sys, spec.method, spec.h, q, p, spec.substeps)
-        for n in range(1, n_steps + 1):
+        # one call a block of steps: stride steps up to each recorded
+        # state, then any that are left
+        blocks = repeat(stride, n_steps // stride)
+        if n_steps % stride:
+            blocks = chain(blocks, (n_steps % stride,))
+        for block in blocks:
             try:
-                within = kernel()
+                within = kernel(block)
             except NoConvergence as exc:
+                n += exc.steps + 1
                 z.fill(np.nan)
                 cause = str(exc)
             else:
-                # a kernel that tests itself returns the decision; otherwise
-                # z.z <= cap^2 bounds every component by the cap (NaN and
-                # overflow fail it), and only a failing state pays for the
-                # exact test
-                if within is None:
-                    within = zdot(z) <= cap2 or np.abs(z).max() <= cap
-                if within:
-                    if n % stride == 0:
-                        zs[rows], steps[rows] = z, n
+                n += within
+                if within == block:
+                    if block == stride:
+                        zs[rows] = z
                         rows += 1
                     continue
+                n += 1
                 cause = "state norm cap exceeded"
-            zs[rows], steps[rows] = z, n
+            zs[rows] = z
             rows += 1
             status, t_blowup = BLOWUP, t0 + n * spec.h
             break
 
+        # the recorded steps: the multiples of the stride (a stride past
+        # n_steps records the start alone), a blow-up's own step last
+        steps = np.arange(rows, dtype=np.int64) * min(stride, n_steps)
+        if status == BLOWUP:
+            steps[-1] = n
         qs, ps = zs[:rows, :d], zs[:rows, d:]
         energies = sys.total_energy(qs, ps)
         stiff = None if sys.ell is None else stiff_energies(sys, qs, ps)
     return Trajectory(
-        times=t0 + steps[:rows] * spec.h,
+        times=t0 + steps * spec.h,
         qs=qs,
         ps=ps,
         energies=energies,

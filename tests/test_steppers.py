@@ -318,6 +318,16 @@ class TestIntegrate:
         assert list(traj.times) == [0.0, 5 * 0.1, 10 * 0.1]
         assert traj.final_state.t == 11 * 0.1  # last step computed, not sampled
 
+    def test_stride_past_int64_records_the_start(self, model50):
+        # a stride no int64 holds: the start is the one multiple recorded,
+        # then a blow-up's sample (Verlet at h*nu > 2)
+        start, stride = State(0.0, [0.01], [0.0]), 10 ** 30
+        traj = integrate(model50, StepperSpec(Method.IMEX, 0.1), start, 1.05, stride=stride)
+        assert traj.completed and list(traj.times) == [0.0]
+        assert traj.final_state.t == 11 * 0.1
+        traj = integrate(model50, StepperSpec(Method.SV, 3.0), start, 30.0, stride=stride)
+        assert traj.status == BLOWUP and list(traj.times) == [0.0, traj.t_blowup]
+
     def test_model_has_no_stiff_block(self, model50):
         spec = StepperSpec(method=Method.IMEX, h=0.1)
         traj = integrate(model50, spec, State(0.0, [1.0], [0.0]), 1.0)
@@ -454,6 +464,58 @@ class TestIntegrate:
         assert np.array_equal(sub.final_state.q, full.qs[-1])
         assert np.array_equal(sub.final_state.p, full.ps[-1])
 
+    @pytest.mark.parametrize("path", ["float", "array"])
+    @pytest.mark.parametrize("method", list(Method), ids=[m.value for m in Method])
+    def test_cap_crossing_mid_block_stops_at_its_step(self, method, path):
+        # The unit oscillator turns this start on a circle of radius 1.0008
+        # cap, which only step 3 takes past the cap in the max norm; by
+        # step 7, the end of the first block at stride 7, the state is back
+        # within it.  Every stride stops the run at step 3, on its state.
+        sys_ = coupled_oscillator_build(0.0)
+        if path == "array":
+            sys_ = _unbindable(sys_, lambda x: -x)
+        start, h, cap = State(0.0, [9.56e7], [2.96e7]), 0.1, steppers.BLOWUP_NORM_CAP
+        states = [start]
+        for _ in range(7):
+            states.append(PUBLIC_STEPS[method](sys_, states[-1], h))
+        outside = [max(abs(s.q[0]), abs(s.p[0])) > cap for s in states]
+        assert outside == [False, False, False, True, False, False, False, False]
+        third = states[3]
+        spec = StepperSpec(method, h, substeps=3)
+        for stride in (1, 7, 10 ** 9):
+            traj = integrate(sys_, spec, start, 5.0, stride=stride)
+            assert traj.status == BLOWUP
+            assert traj.blowup_cause == "state norm cap exceeded"
+            assert traj.t_blowup == traj.times[-1] == traj.final_state.t == 3 * h
+            assert np.array_equal(traj.qs[-1], third.q) and np.array_equal(traj.ps[-1], third.p)
+            assert len(traj.times) == (4 if stride == 1 else 2)
+
+    @pytest.mark.parametrize("path", ["float", "array"])
+    def test_no_convergence_mid_block_matches_stride_one(self, monkeypatch, path):
+        # At omega = 10, h = 0.15 the fixed point takes 49, 48 and 50
+        # iterations in the first three steps from (1, 0), so with at most
+        # 49 the third step fails: mid-block at stride 7 and 1e9, the first
+        # of a block at stride 2.  The run records the same NaN sample at
+        # the same step, with the same cause, at every stride.
+        monkeypatch.setattr(steppers, "FP_MAX_ITER", 49)
+        sys_ = coupled_oscillator_build(10.0)
+        if path == "array":
+            sys_ = _unbindable(sys_, lambda x: -x)
+        spec = StepperSpec(Method.MIDPOINT_FULL, 0.15)
+        start = State(0.0, [1.0], [0.0])
+        want = integrate(sys_, spec, start, 5.0)
+        assert want.status == BLOWUP and want.t_blowup == 3 * 0.15
+        assert want.blowup_cause == "fixed point not converged after 49 iterations"
+        for stride in (2, 7, 10 ** 9):
+            got = integrate(sys_, spec, start, 5.0, stride=stride)
+            assert got.status == BLOWUP
+            assert got.t_blowup == want.t_blowup == got.times[-1] == got.final_state.t
+            assert got.blowup_cause == want.blowup_cause
+            assert np.isnan(got.qs[-1]).all() and np.isnan(got.ps[-1]).all()
+            assert np.isnan(got.final_state.q).all() and np.isnan(got.final_state.p).all()
+            assert np.array_equal(got.times, want.times[:-1][::stride].tolist() + [want.t_blowup])
+            assert np.array_equal(got.qs[:-1], want.qs[:-1][::stride])
+
     def test_tiny_span_takes_one_step(self, model50):
         # (t_end - t0)/h underflows to 0 here; the run must still step once
         spec = StepperSpec(method=Method.IMEX, h=1e10)
@@ -518,12 +580,13 @@ class TestBufferOwnership:
         sys_ = fpu_build(FpuParams(ell=1000, omega=50.0))
         _, q, p = _state_buffers(sys_, fpu_initial_state(sys_))
         kernel = _kernel(sys_, method, 0.01, q, p, substeps=3)
-        kernel()
+        kernel(1)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
             for _ in range(50):
-                kernel()
+                assert kernel(1) == 1
+            assert kernel(50) == 50
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -605,58 +668,82 @@ def _scaled_start(h, omega):
 NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
-def _run_kernel(sys_, method, h, substeps, z, n_steps):
-    """Step the kernel bound to z[0] and z[1] up to n_steps times, stopping
-    as integrate does.  Returns the kernel, the state after each step, each
-    call's return paired with the exact cap test of its state, and how the
-    run ended: None, (step, "cap") or (step, NoConvergence's iteration
-    count), a NoConvergence leaving the state as it was."""
+def _assert_same_bits(got, want):
+    # array_equal takes -0.0 == 0.0 and no NaN equal, so signs (a NaN's
+    # too) and NaN positions are compared apart
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _run_kernel(sys_, method, h, substeps, z, n_steps, block):
+    """Step the kernel bound to z[0] and z[1] n_steps steps, calling it for
+    up to block steps at a time, and stop as integrate does.  Each call's
+    return is checked against the exact cap test of the state it leaves.
+    Returns the kernel, {step: state} for the start and the state each call
+    leaves, and how the run ended: None, (step, "cap") or (step,
+    NoConvergence's iteration count), a NoConvergence leaving the state
+    before the failing step."""
     q, p = z
     kernel = _kernel(sys_, method, h, q, p, substeps)
-    states, tests = [], []
-    for n in range(1, n_steps + 1):
-        before = z.copy()
+    states, n = {0: z.copy()}, 0
+    while n < n_steps:
+        todo = min(block, n_steps - n)
         try:
-            within = kernel()
+            within = kernel(todo)
         except NoConvergence as exc:
-            assert np.array_equal(z, before) and np.array_equal(np.signbit(z), np.signbit(before))
-            return kernel, states, tests, (n, exc.iterations)
-        states.append(z.copy())
-        exact = bool(np.abs(z).max() <= steppers.BLOWUP_NORM_CAP)
-        tests.append((within, exact))
-        if not exact:
-            return kernel, states, tests, (n, "cap")
-    return kernel, states, tests, None
+            assert 0 <= exc.steps < todo
+            n += exc.steps
+            if n in states:  # the state the call began with
+                _assert_same_bits(z, states[n])
+            states[n] = z.copy()
+            return kernel, states, (n + 1, exc.iterations)
+        assert type(within) is int and 0 <= within <= todo
+        n += within + (within < todo)
+        states[n] = z.copy()
+        assert (within == todo) == bool(np.abs(z).max() <= steppers.BLOWUP_NORM_CAP)
+        if within < todo:
+            return kernel, states, (n, "cap")
+    return kernel, states, None
+
+
+# the n of the kernel calls: single steps, and blocks of 7 and 20 steps
+BLOCKS = (1, 7, 20)
 
 
 def _assert_scalar_kernel_matches_block(sys_, method, h, substeps, q0, p0, n_steps):
     """Step one state of sys_ by the kernel _kernel binds to it, the
     generated scalar kernel, and by the array kernel bound to the same
-    state as a block of one, and hold every step of the two the same."""
+    state as a block of one, and hold every step of the two the same.
+    Each kernel called for n steps at a time, n in BLOCKS, ends on the
+    state and at the step where its single steps end, and leaves the
+    states they leave."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore", invalid="ignore"):
             # z[0] is q and z[1] is p: shape (d,) each, or a (1, d) block
             z = np.array([q0, p0], dtype=float)
-            got_kernel, got, got_tests, got_end = _run_kernel(
-                sys_, method, h, substeps, z.copy(), n_steps)
-            want_kernel, want, want_tests, want_end = _run_kernel(
-                sys_, method, h, substeps, z[:, np.newaxis].copy(), n_steps)
+            starts = {"float": z, "array": z[:, np.newaxis]}
+            runs = {(path, block): _run_kernel(sys_, method, h, substeps, start.copy(),
+                                               n_steps, block)
+                    for path, start in starts.items() for block in BLOCKS}
+    got_kernel, got, got_end = runs["float", 1]
+    want_kernel, want, want_end = runs["array", 1]
     assert "_scalar_kernel" in got_kernel.__qualname__
     assert "_scalar_kernel" not in want_kernel.__qualname__
-    assert got_end == want_end and len(got) == len(want)
-    # the scalar kernel makes integrate's cap test itself, exactly; the
-    # array kernel leaves it to integrate
-    assert all(type(within) is bool and within == exact for within, exact in got_tests)
-    assert all(within is None for within, _ in want_tests)
+    assert got_end == want_end and got.keys() == want.keys()
     # A NaN (only ever in the last, blow-up state) may differ in sign:
     # where both operands of an add are NaN, numpy's in-place add on one
     # element returns the second, on more elements and in floats the first
-    for z_got, z_want in zip(got, want):
-        z_got, z_want = z_got.ravel(), z_want.ravel()
+    for step, z_want in want.items():
+        z_got, z_want = got[step].ravel(), z_want.ravel()
         assert np.array_equal(z_got, z_want, equal_nan=True)
         signed = ~np.isnan(z_want)
         assert np.array_equal(np.signbit(z_got[signed]), np.signbit(z_want[signed]))
+    for (path, block), (_, states, end) in runs.items():
+        _, single, single_end = runs[path, 1]
+        assert end == single_end
+        for step, z_block in states.items():
+            _assert_same_bits(z_block, single[step])
 
 
 # the lattices the scalar kernels cover: the smallest, exchange's ell = 3,

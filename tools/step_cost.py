@@ -5,17 +5,23 @@
 Each SRC is the src directory of an oscint checkout (default: this one's).
 Every checkout is loaded as its own package in this process and the runs
 alternate between them, case by case, so a before/after pair shares the
-machine's state.  A method case is integrate at stride 1e9 (no samples
-recorded) at h = 0.01 on two systems: the ell=3 lattice at omega = 50 from
-its canonical start, and the convergence study's d=1 model system at
-omega = 2 from (q, p) = (1, 0.5); RESPA takes 10 substeps.  The lattice
-and model rows time the kernels integrate binds for them: generated
-Python-float code, as for any single state of at most SCALAR_MAX_D axes
-(see oscint.steppers).  On each system,
-midpoint-full/iter is the midpoint-full run's time per fixed-point
-iteration, the iterations counted in an untimed run, so that a change in
-the cost of one iteration reads apart from a change in their number.  Two
-more cases time the model-sweep commands and the loops inside them:
+machine's state.  A method case is a 2000-step integrate run at stride 1e9
+(no samples recorded) at h = 0.01 on two systems: the ell=3 lattice at
+omega = 50 from its canonical start, and the convergence study's d=1 model
+system at omega = 2 from (q, p) = (1, 0.5); RESPA takes 10 substeps.  The
+lattice and model rows time the kernels integrate binds for them:
+generated Python-float code, as for any single state of at most
+SCALAR_MAX_D axes (see oscint.steppers).  On each system, the other rows:
+  - 1-step run: a whole IMEX run of one step, the fixed cost of a run
+    (binding, the sample block, the energies), in us per run;
+  - midpoint-full/iter: the midpoint-full run's time per fixed-point
+    iteration, the iterations counted in an untimed run, so that a change
+    in the cost of one iteration reads apart from a change in their number.
+Two cases time the shapes of the fpu-exchange command (exchange-small) on
+the ell=3 lattice, per step: its IMEX run, h = 0.03 recorded at every step
+(1000 steps, stride 1), and its Stormer-Verlet reference, h = 0.001
+recorded at every tenth (3000 steps, stride 10).  Two more cases time the
+model-sweep commands and the loops inside them:
   - sweep 900 rows: the resonance sweep's matrix loop per step, in one
     process, on the 900 rows (RESPA and IMEX at 450 frequencies) of the
     CLI defaults;
@@ -23,9 +29,10 @@ more cases time the model-sweep commands and the loops inside them:
     of its 10^4, end to end: its matrices, and the loop in two processes
     where the sweep forks one (see oscint.experiments).
   - ell=N sv|imex scalar|array: integrate as above on the ell = N
-    lattice (ell = 1, 2, 3, 4, 6, 8) on both paths: "scalar" with
-    SCALAR_MAX_D raised to cover d = 2 ell, "array" with the slow force
-    behind a plain wrapper that keeps its bind but has no scalar source.
+    lattice (ell = 1, 2, 3, 4, 6, 8, 10, 12, 14, 16) on both paths:
+    "scalar" with SCALAR_MAX_D raised to cover d = 2 ell, "array" with the
+    slow force behind a plain wrapper that keeps its bind but has no
+    scalar source.
   - bind ell=N, METHOD cold|warm: one steppers._kernel call binding the
     method to the canonical start of the ell = 3 lattice (generated float
     code) or the ell = 1000 lattice (array kernels): "cold" with every
@@ -50,11 +57,12 @@ from pathlib import Path
 METHODS = ("sv", "imex", "modified-impulse", "respa", "midpoint-full")
 SYSTEMS = ("lattice", "model")
 H = 0.01
-# midpoint-full iterates its fixed point ~10 times per step
-STEPS = {"midpoint-full": 200}
 DEFAULT_STEPS = 2000
+# fpu-exchange's runs: (method, h, steps, stride)
+EXCHANGE_RUNS = {"imex h=0.03 stride 1": ("imex", 0.03, 1000, 1),
+                 "sv h=0.001 stride 10": ("sv", 0.001, 3000, 10)}
 SWEEP_STEPS = 2000
-PATH_ELLS = (1, 2, 3, 4, 6, 8)
+PATH_ELLS = (1, 2, 3, 4, 6, 8, 10, 12, 14, 16)
 PATH_METHODS = ("sv", "imex")
 BIND_ELLS = (3, 1000)
 
@@ -79,19 +87,31 @@ def system_and_start(oscint, system: str):
     return oscint.coupled_oscillator_build(2.0), oscint.State(0.0, [1.0], [0.5])
 
 
-def run_seconds(oscint, sys_, state0, method: str, n: int) -> float:
+def run_seconds(oscint, sys_, state0, method: str, n: int, h: float = H,
+                stride: int = 10 ** 9) -> float:
     """Wall time of an n-step integrate run."""
-    spec = oscint.StepperSpec(method=method, h=H, substeps=10 if method == "respa" else 1)
+    spec = oscint.StepperSpec(method=method, h=h, substeps=10 if method == "respa" else 1)
     start = time.perf_counter()
     # (n - 1/2) h keeps the step count at n whatever the rounding of n h
-    oscint.integrate(sys_, spec, state0, (n - 0.5) * H, stride=10 ** 9)
+    oscint.integrate(sys_, spec, state0, (n - 0.5) * h, stride=stride)
     return time.perf_counter() - start
 
 
 def us_per_step(oscint, system: str, method: str) -> float:
     sys_, state0 = system_and_start(oscint, system)
-    n = STEPS.get(method, DEFAULT_STEPS)
-    return run_seconds(oscint, sys_, state0, method, n) / n * 1e6
+    return run_seconds(oscint, sys_, state0, method, DEFAULT_STEPS) / DEFAULT_STEPS * 1e6
+
+
+def us_per_run(oscint, system: str) -> float:
+    """A one-step IMEX run: what a run costs besides its steps."""
+    sys_, state0 = system_and_start(oscint, system)
+    return run_seconds(oscint, sys_, state0, "imex", 1) * 1e6
+
+
+def us_per_exchange_step(oscint, run: str) -> float:
+    method, h, n, stride = EXCHANGE_RUNS[run]
+    sys_, state0 = system_and_start(oscint, "lattice")
+    return run_seconds(oscint, sys_, state0, method, n, h, stride) / n * 1e6
 
 
 def us_per_fixed_point_iteration(oscint, system: str) -> float:
@@ -103,7 +123,7 @@ def us_per_fixed_point_iteration(oscint, system: str) -> float:
     That force has no scalar source, so the counting run takes the array
     kernel, which iterates exactly as the timed scalar kernel does."""
     sys_, state0 = system_and_start(oscint, system)
-    n = STEPS["midpoint-full"]
+    n = DEFAULT_STEPS
     calls = []
 
     def counting_force(x):
@@ -200,7 +220,10 @@ def main() -> None:
     # (system, label) -> the case's timer, given one package
     cases = {(s, m): partial(us_per_step, system=s, method=m) for s in SYSTEMS for m in METHODS}
     for s in SYSTEMS:
+        cases[s, "1-step run"] = partial(us_per_run, system=s)
         cases[s, "midpoint-full/iter"] = partial(us_per_fixed_point_iteration, system=s)
+    for run in EXCHANGE_RUNS:
+        cases["exchange", run] = partial(us_per_exchange_step, run=run)
     cases["sweep", "900 rows"] = us_per_sweep_step
     cases["sweep", "resonance_sweep()"] = us_per_resonance_sweep_step
     for ell in PATH_ELLS:
