@@ -22,22 +22,23 @@ steps up to the next recorded state; every single step outside it
 which silences a diverging midpoint-full iteration's overflow, as
 integrate does for a whole run.
 
-The statements are rendered two ways from one set of constants
-(_constants).  On arrays (_array_kernel) each statement is lowered, once
-per process, to the in-place ufunc calls it makes (_lower), and binding
-makes each call a partial on the run's buffers with its output passed
-positionally, which skips the keyword parsing of out=.  Even so a ufunc
-call costs ~0.3 us however short the state, and a step makes 10-20 of
-them for a few dozen flops.  So a single state (q.ndim == 1) of at most
-SCALAR_MAX_D axes whose slow force has scalar source
-(SlowForce.scalar_source) steps in Python floats, in straight-line code
-generated for the method, d and the force (_scalar_kernel), which loops
-over the steps of a call itself.  Python rounds + - * / as numpy does, so
-every state is bit for bit the array kernels' (but for a NaN's sign, which
-numpy too picks by array size).  The lattice force's cube stays one
-np.power call, the one operation floats cannot copy.  Past SCALAR_MAX_D
-axes (measured, tools/step_cost.py) the arrays win; blocks and forces
-without scalar source take them too.
+One generator (_factory) renders the statements to Python source in two
+dialects, from one set of constants (_constants); they differ only in how
+a statement, ALL and the cap test are written and where the state lives
+between calls.  On arrays (_array_kernel) each statement is one nested
+call of in-place ufuncs (_lower), outputs passed positionally, which
+skips the keyword parsing of out=; the source is the method's alone.
+Even so a ufunc call costs ~0.3 us however short the state, and a step
+makes 10-20 of them for a few dozen flops.  So a single state (q.ndim ==
+1) of at most SCALAR_MAX_D axes whose slow force has scalar source
+(SlowForce.scalar_source) steps in Python floats (_scalar_kernel), each
+statement written out axis by axis for the method, d and the force.
+Python rounds + - * / as numpy does, so every state is bit for bit the
+array kernels' (but for a NaN's sign, which numpy too picks by array
+size).  The lattice force's cube stays one np.power call, the one
+operation floats cannot copy.  Past SCALAR_MAX_D axes (measured,
+tools/step_cost.py) the arrays win; blocks and forces without scalar
+source take them too.
 """
 from __future__ import annotations
 
@@ -79,7 +80,8 @@ BLOWUP = "blowup"
 # stops right after the first state that fails.  It returns how many of its
 # steps stayed within the cap: n, or k < n when step k + 1 left it, q and p
 # then holding that state.  A NoConvergence raised in step k + 1 leaves q
-# and p at the state before it, with k in its steps attribute.
+# and p at the state before it, with k in its steps attribute.  Every
+# kernel, in floats or on arrays, comes from one template (_factory).
 Kernel = Callable[[int], int]
 
 
@@ -124,9 +126,10 @@ class _Statements:
     hw2 and nw2 are per-axis constants, h, half, quarter_h2, dt, half_dt
     and tol floats, max_iter and substeps ints (_constants).  Any other name
     is a vector: x, v and the carried ones keep their values between calls,
-    the rest are temporaries.  g = SLOW(y) sets g to the slow force at y;
-    ALL(e) holds when e holds on every axis (one ALL a line).  Lines that
-    begin with for, if, else, raise or break are Python as written."""
+    the rest are temporaries (n, cap, cap2, qdot, pdot, _b and s0, s1, ...
+    are the kernel's own).  g = SLOW(y) sets g to the slow force at y;
+    ALL(e) holds when e holds on every axis.  Lines that begin with for,
+    if, else, raise or break are Python as written, in both dialects."""
 
     name: str
     setup: tuple[str, ...]
@@ -186,32 +189,33 @@ _STATEMENTS = {
     # most tol on every axis, at most max_iter times (FP_TOL, FP_MAX_ITER,
     # read at bind time).  It contracts only while (h^2/4) Lip(f) < 1: a
     # small-step baseline, with no carried kick.  A failed test raises
-    # NoConvergence when some n is not finite (a finite iterate whose
+    # NoConvergence when some new is not finite (a finite iterate whose
     # change overflows goes on), leaving x and v as they were.  Overflow on
-    # the way is silenced by the callers (integrate, _step_once).
+    # the way is silenced by the callers (integrate, _step_once).  x1 =
+    # 2 m - x0 doubles m as m + m, exact as 2.0 * m is, with no literal.
     Method.MIDPOINT_FULL: _Statements("midpoint-full", (), (
         "b = x + half * v",
         "m = b",
         "for i in range(max_iter):",
         "    g = SLOW(m)",
-        "    n = b + quarter_h2 * (g - w2 * m)",
-        "    done = ALL(abs(n - m) <= tol)",
-        "    if not done and not ALL(isfinite(n)):",
+        "    new = b + quarter_h2 * (g - w2 * m)",
+        "    done = ALL(abs(new - m) <= tol)",
+        "    if not done and not ALL(isfinite(new)):",
         "        raise NoConvergence(i + 1)",
-        "    m = n",
+        "    m = new",
         "    if done:",
         "        break",
         "else:",
         "    raise NoConvergence(max_iter)",
         "g = SLOW(m)",
         "v = v + h * (g - w2 * m)",
-        "x = 2.0 * m - x",
+        "x = m + m - x",
     )),
 }
 
 
 def _constants(sys: OscillatorySystem, method: Method, h: float, substeps: int) -> dict:
-    """The constants the method's statements name, for both renderings:
+    """The constants the method's statements name, for both dialects:
     Python floats and ints, and per-axis arrays of shape (d,)."""
     h = float(h)
     quarter_h2 = 0.25 * h * h
@@ -231,12 +235,16 @@ def _constants(sys: OscillatorySystem, method: Method, h: float, substeps: int) 
 
 _NAME = re.compile(r"\b[A-Za-z_]\w*")
 _SLOW = re.compile(r"(\w+) = SLOW\((\w+)\)$")
-_ALL = re.compile(r"ALL\((.*)\)")
+# ALL(e), e nesting parentheses one deep
+_ALL = re.compile(r"ALL\(((?:[^()]|\([^()]*\))*)\)")
 _PYTHON = re.compile(r"(for|if|else|raise|break)\b")
-_REPEAT = re.compile(r"for _ in range\((\w+)\):$")
 _FLOATS = frozenset(("h", "half", "quarter_h2", "dt", "half_dt", "tol"))
 _PER_AXIS = frozenset(("w2", "den", "cos", "hw2", "nw2"))
 _CONSTANTS = _FLOATS | _PER_AXIS | {"max_iter", "substeps"}
+# the numpy function of each operation, called _name in the array dialect
+_UFUNCS = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply", ast.Div: "divide",
+           ast.LtE: "less_equal", "abs": "absolute", "isfinite": "isfinite"}
+_NUMPY = {f"_{name}": getattr(np, name) for name in (*_UFUNCS.values(), "copyto")}
 
 
 def _parsed(lines: tuple[str, ...]):
@@ -279,26 +287,99 @@ def _scalar_kernel(
     slow, operands = source
     values = {name: consts[name] for name in names}
     values.update((name, values[name].tolist()) for name in _PER_AXIS.intersection(values))
-    factory = _scalar_factory(statements, d, tuple(slow), names, tuple(operands))
+    factory = _factory(statements, d, tuple(slow), names, tuple(operands))
     return factory(q, p, BLOWUP_NORM_CAP, **values, **operands)
 
 
-@lru_cache(maxsize=32)
-def _scalar_factory(statements: _Statements, d: int, slow: tuple[str, ...],
-                    consts: tuple[str, ...], operands: tuple[str, ...]):
-    """The compiled factory of the statements' float kernel on d axes, slow
-    being the force's statements; consts and operands name its arguments.
+def _array_kernel(
+    sys: OscillatorySystem, statements: _Statements, consts: dict, q: np.ndarray, p: np.ndarray
+) -> Kernel:
+    """The statements' kernel on q and p, one state or a block of states
+    (leading axes).  Every buffer, float and per-axis constant is an array
+    shaped like q: a scalar costs numpy a conversion per call, and a call
+    that broadcasts allocates a buffer the size of the block."""
+    names, slow = _names(statements)
+    shape = q.shape
+    # x.x over every element of x, a block's too
+    qdot, pdot = (q.dot, p.dot) if q.ndim == 1 else (partial(np.vdot, q), partial(np.vdot, p))
+    buffers = {"x": q, "v": p, "qdot": qdot, "pdot": pdot}
+    for name in names:
+        value = consts[name]
+        buffers[name] = value if isinstance(value, int) else np.full(shape, value)
 
-    Each statement is written out axis by axis by name substitution: vector
-    y becomes y0, y1, ..., per-axis constant c c_0, c_1, ..., and ALL(e) the
-    conjunction of e on every axis.  The kernel (see Kernel) loops over the
-    step itself.  The carried floats, x and v among them, live in one
-    closure tuple between calls and in fast locals within one; the
-    constants and the force's operands are its default arguments, fast
-    locals too.  After each step -cap <= y <= cap is tested on every
-    component, which decides as abs(y) <= cap does (False for a NaN), and
-    q and p are written once, when the call ends.
+    def buffer(name: str) -> np.ndarray:
+        if name not in buffers:  # a vector, a scratch slot or _b
+            buffers[name] = np.empty(shape, dtype=bool if name == "_b" else float)
+        return buffers[name]
+
+    if slow is not None:  # g = SLOW(y), slow being (g, y)
+        buffers["SLOW"] = bind_slow_force(sys.slow_force, buffer(slow[1]), buffer(slow[0]))
+    factory = _factory(statements, None, ("SLOW()",), names, ("SLOW",) if slow else ())
+    return factory(buffer, BLOWUP_NORM_CAP)
+
+
+def _lower(node: ast.expr, names: dict, out: str | None = None, depth: int = -1) -> str:
+    """The nested in-place ufunc call that evaluates node into the buffer
+    out, or else the scratch slot s{depth}; names gathers the buffers it
+    names, in the order the calls first name them.  Operand i goes to slot
+    depth + 1 + i, so no call writes one of its operands: numpy takes a
+    slow buffered path (about 1 us a call) for an in-place operation on a
+    one-element array.  Only the outermost call writes out, so v = v + k
+    accumulates in place, and Python evaluates the operands first, left to
+    right, so the calls run innermost first."""
+    if isinstance(node, ast.Name):
+        names[node.id] = None
+        return node.id
+    if isinstance(node, ast.BinOp):
+        ufunc, operands = _UFUNCS[type(node.op)], (node.left, node.right)
+    elif isinstance(node, ast.Compare):
+        ufunc, operands = _UFUNCS[type(node.ops[0])], (node.left, node.comparators[0])
+    else:
+        ufunc, operands = _UFUNCS[node.func.id], node.args
+    args = [_lower(operand, names, None, depth + 1 + i) for i, operand in enumerate(operands)]
+    out = out or f"s{depth}"
+    names[out] = None
+    return f"_{ufunc}({', '.join(args)}, {out})"
+
+
+def _call(text: str, names: dict) -> str:
+    """The array dialect's vector statement target = value, or ALL's e into _b."""
+    target, _, value = text.rpartition(" = ")
+    node = ast.parse(value, mode="eval").body
+    if isinstance(node, ast.Name):
+        names.update(dict.fromkeys((target, node.id)))
+        return f"_copyto({target}, {node.id})"
+    return _lower(node, names, target or "_b")
+
+
+@lru_cache(maxsize=32)
+def _factory(statements: _Statements, d: int | None, slow: tuple[str, ...],
+             consts: tuple[str, ...], operands: tuple[str, ...]):
+    """The compiled factory of the statements' kernel (see Kernel), in the
+    float dialect on d axes (_scalar_kernel) or, d None, the array dialect
+    (_array_kernel).  slow is what g = SLOW(y) becomes, consts name the
+    constants and operands the objects slow reads.  Either kernel loops
+    over the steps itself, its constants and buffers default arguments
+    (fast locals), and Python lines are written as they are.
+
+    Floats: each statement is written out axis by axis by name
+    substitution: vector y becomes y0, y1, ..., per-axis constant c c_0,
+    c_1, ..., and ALL(e) the conjunction of e on every axis.  The carried
+    floats, x and v among them, live in one closure tuple between calls,
+    and q and p are written once, when the call ends.  After each step
+    -cap <= y <= cap is tested on every component, which decides as
+    abs(y) <= cap does (False for a NaN).
+
+    Arrays: each statement is one nested in-place ufunc call (_lower) and
+    ALL(e) e's call into the boolean buffer _b, then .all(); x and v are q
+    and p, and every buffer and constant comes from buffer(name).  After
+    each step x.x + v.v <= cap^2 bounds every component (NaN and overflow
+    fail it), and only a failing state pays for the exact max test.
     """
+    floats = d is not None
+    # the array dialect's buffers, in the order binding makes them
+    names = dict.fromkeys(("x", "v", "qdot", "pdot", *consts, *operands))
+
     def axis_name(match: re.Match) -> str:
         name = match.group()
         if name in _PER_AXIS:
@@ -309,12 +390,17 @@ def _scalar_factory(statements: _Statements, d: int, slow: tuple[str, ...],
         template = _NAME.sub(axis_name, text)
         return [template.format(i=i) for i in range(d)]
 
+    def vector(text: str) -> list[str]:
+        return each(text) if floats else [_call(text, names)]
+
     def every(match: re.Match) -> str:
-        return f"({' and '.join(each(match.group(1)))})"
+        if floats:
+            return f"({' and '.join(each(match.group(1)))})"
+        return _call(match.group(1), names) + ".all()"
 
     def render(lines: tuple[str, ...]) -> list[str]:
         return [pad + line for pad, kind, text in _parsed(lines) for line in (
-            slow if kind == "slow" else each(text) if kind == "vector"
+            slow if kind == "slow" else vector(text) if kind == "vector"
             else [_ALL.sub(every, text)])]
 
     def indent(lines) -> list[str]:
@@ -323,206 +409,62 @@ def _scalar_factory(statements: _Statements, d: int, slow: tuple[str, ...],
     def unpack(name: str, value: str) -> str:
         return "".join(f"{name}{i}, " for i in range(d)) + f"= {value}"
 
-    state = "".join(f"{name}{i}, " for name in ("x", "v") + statements.carried for i in range(d))
-    defaults = [c for c in consts if c not in _PER_AXIS]
-    defaults += [f"{c}_{i}" for c in consts if c in _PER_AXIS for i in range(d)]
-    defaults += [*operands, "cap", "ncap", "q", "p"]
-    source = "\n".join([
-        f"def _scalar_kernel(q, p, cap, {', '.join(consts + operands)}):",
-        *indent([
+    setup, step = render(statements.setup), render(statements.step)
+    if floats:
+        state = "".join(f"{name}{i}, " for name in ("x", "v") + statements.carried
+                        for i in range(d))
+        defaults = [c for c in consts if c not in _PER_AXIS]
+        defaults += [f"{c}_{i}" for c in consts if c in _PER_AXIS for i in range(d)]
+        defaults += [*operands, "cap", "ncap", "q", "p"]
+        factory, label = "_scalar_kernel", f"scalar kernel: {statements.name}, d={d}"
+        head = [
+            f"def {factory}(q, p, cap, {', '.join(consts + operands)}):",
             # a memoryview takes an element faster than the array does
-            "q, p, ncap = memoryview(q), memoryview(p), -cap",
-            unpack("x", "q.tolist()"), unpack("v", "p.tolist()"),
-            *(unpack(c + "_", c) for c in consts if c in _PER_AXIS),
-            *render(statements.setup),
-            f"_state = {state}",
+            "    q, p, ncap = memoryview(q), memoryview(p), -cap",
+            "    " + unpack("x", "q.tolist()"), "    " + unpack("v", "p.tolist()"),
+            *indent(unpack(c + "_", c) for c in consts if c in _PER_AXIS),
+        ]
+        load, store = ["nonlocal _state", f"{state}= _state"], [f"_state = {state}"]
+        within = " and ".join(f"ncap <= {z}{i} <= cap" for i in range(d) for z in "xv")
+        end = ["finally:", *indent([f"_state = {state}", *(f"q[{i}] = x{i}" for i in range(d)),
+                                    *(f"p[{i}] = v{i}" for i in range(d))])]
+    else:
+        factory, label = "_array_kernel", f"array kernel: {statements.name}"
+        defaults = [*names, "cap", "cap2"]
+        head = [f"def {factory}(buffer, cap):",
+                f"    {', '.join(names)}, = map(buffer, {tuple(names)!r})",
+                "    cap2 = cap * cap"]
+        load, store, end = [], [], []
+        within = ("qdot(x) + pdot(v) <= cap2"
+                  " or _absolute(x).max() <= cap and _absolute(v).max() <= cap")
+    source = "\n".join([
+        *head,
+        *indent([
+            *setup,
+            *store,
             f"def kernel(n, {', '.join(f'{name}={name}' for name in defaults)}):",
             *indent([
-                "nonlocal _state",
-                f"{state}= _state",
+                *load,
                 "try:",
                 "    for _i in range(n):",
                 *indent(indent([
-                    *render(statements.step),
-                    "if not (" + " and ".join(
-                        f"ncap <= {z}{i} <= cap" for i in range(d) for z in "xv") + "):",
+                    *step,
+                    f"if not ({within}):",
                     "    n = _i",
                     "    break",
                 ])),
                 "except NoConvergence as _exc:",
                 "    _exc.steps = _i",
                 "    raise",
-                "finally:",
-                *indent([f"_state = {state}", *(f"q[{i}] = x{i}" for i in range(d)),
-                         *(f"p[{i}] = v{i}" for i in range(d))]),
+                *end,
                 "return n",
             ]),
             "return kernel",
         ]),
     ])
-    namespace = {"isfinite": math.isfinite, "NoConvergence": NoConvergence}
-    exec(compile(source, f"<oscint scalar kernel: {statements.name}, d={d}>", "exec"), namespace)
-    return namespace["_scalar_kernel"]
-
-
-_UFUNCS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: np.divide,
-           ast.LtE: np.less_equal, "abs": np.absolute, "isfinite": np.isfinite}
-
-
-def _lower(node: ast.expr, ops: list[tuple], out: str | None, depth: int = -1) -> str:
-    """Appends to ops the calls, (ufunc, *operands, output), that evaluate
-    node into the buffer out or else the scratch slot s{depth}, and returns
-    the name holding its value (a literal's is its repr).  Operand i goes
-    to slot depth + 1 + i, so no call writes one of its operands: numpy
-    takes a slow buffered path (about 1 us a call) for an in-place
-    operation on a one-element array.  Only the outermost call writes out,
-    so v = v + k accumulates in place."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Constant):
-        return repr(float(node.value))
-    if isinstance(node, ast.BinOp):
-        ufunc, operands = _UFUNCS[type(node.op)], (node.left, node.right)
-    elif isinstance(node, ast.Compare):
-        ufunc, operands = _UFUNCS[type(node.ops[0])], (node.left, node.comparators[0])
-    else:
-        ufunc, operands = _UFUNCS[node.func.id], node.args
-    names = [_lower(operand, ops, None, depth + 1 + i) for i, operand in enumerate(operands)]
-    out = out or f"s{depth}"
-    ops.append((ufunc, *names, out))
-    return out
-
-
-def _lowered(lines: tuple[str, ...], runs: list[tuple[list[tuple], bool, str | None]]) -> list[str]:
-    """The block's Python lines: the vector statements between two Python
-    lines append one run (ops, False, None) to runs, called as _runJ(), and
-    each ALL(e) one run (ops, True, None) that writes e into the boolean
-    buffer _b and returns _b.all().  A loop for _ in range(c), c an int
-    constant, over vector statements alone is no Python line: its body is
-    one run (ops, False, "c"), whose ops are made c times in a row."""
-    def every(match: re.Match) -> str:
-        runs.append((list(_ops(match.group(1))), True, None))
-        return f"_run{len(runs) - 1}()"
-
-    python, run_pad = [], None
-    for pad, kind, text in _parsed(lines):
-        if kind == "python" and (repeat := _REPEAT.match(text)):
-            python.append(f"{pad}_run{len(runs)}()")
-            runs.append(([], False, repeat.group(1)))
-            run_pad = pad + "    "
-            continue
-        if kind == "python":
-            python.append(pad + _ALL.sub(every, text))
-            run_pad = None
-            continue
-        if pad != run_pad:
-            python.append(f"{pad}_run{len(runs)}()")
-            runs.append(([], False, None))
-            run_pad = pad
-        runs[-1][0].extend([("SLOW",)] if kind == "slow" else _ops(text))
-    return python
-
-
-@lru_cache(maxsize=None)
-def _ops(text: str) -> tuple[tuple, ...]:
-    """The ops of the vector statement target = value, or of ALL's e into _b."""
-    target, _, value = text.rpartition(" = ")
-    node = ast.parse(value, mode="eval").body
-    if isinstance(node, ast.Name):
-        return ((np.copyto, target, node.id),)
-    ops = []
-    _lower(node, ops, target or "_b")
-    return tuple(ops)
-
-
-@lru_cache(maxsize=None)
-def _array_program(statements: _Statements):
-    """The statements lowered once per process: their runs (_lowered), how
-    many of them the setup makes, and the compiled factory of the one-step
-    call from the bound runs and constants, or None where no line is Python
-    (the setup and the step are then runs in a row)."""
-    runs = []
-    setup, step = _lowered(statements.setup, runs), _lowered(statements.step, runs)
-    runs = tuple((tuple(ops), test, repeat) for ops, test, repeat in runs)
-    if all(line.startswith("_run") for line in setup + step):
-        return runs, len(setup), None
-    names = [f"_run{i}" for i in range(len(runs))] + list(_names(statements)[0])
-    source = "\n".join([f"def _array_kernel({', '.join(names)}):",
-                        *("    " + line for line in setup), "    def kernel():",
-                        *("        " + line for line in step), "    return kernel"])
-    namespace = {"NoConvergence": NoConvergence}
-    exec(compile(source, f"<oscint array kernel: {statements.name}>", "exec"), namespace)
-    return runs, len(setup), namespace["_array_kernel"]
-
-
-def _run(calls: list[Callable[[], object]], every: Callable[[], bool] | None) -> Callable:
-    """One call that makes the calls in order and returns every(), or None."""
-    def run():
-        for call in calls:
-            call()
-        return every and every()
-
-    return run
-
-
-def _array_kernel(
-    sys: OscillatorySystem, statements: _Statements, consts: dict, q: np.ndarray, p: np.ndarray
-) -> Kernel:
-    """The statements' kernel on q and p, one state or a block of states
-    (leading axes): each op a partial on buffers shaped like q, the step
-    one call (_stepping).  A float or literal is an operand array: it gives
-    the products a scalar gives, without numpy's per-call scalar
-    conversion."""
-    runs, n_setup, factory = _array_program(statements)
-    names, slow = _names(statements)
-    shape = q.shape
-    buffers = {"x": q, "v": p}
-    for name in names:
-        value = consts[name]
-        buffers[name] = np.full(shape, value) if isinstance(value, float) else value
-
-    def buffer(name: str) -> np.ndarray:
-        if name not in buffers:  # a vector, a scratch slot, _b or a literal
-            buffers[name] = (np.full(shape, float(name)) if name[0].isdigit()
-                             else np.empty(shape, dtype=bool if name == "_b" else float))
-        return buffers[name]
-
-    if slow is not None:  # g = SLOW(y), slow being (g, y)
-        buffers["SLOW"] = bind_slow_force(sys.slow_force, buffer(slow[1]), buffer(slow[0]))
-    calls = [[partial(f, *map(buffer, args)) if args else buffers[f] for f, *args in ops]
-             * (consts[repeat] if repeat else 1) for ops, _, repeat in runs]
-    if factory is None:
-        _run(sum(calls[:n_setup], []), None)()
-        return _stepping(_run(sum(calls[n_setup:], []), None), q, p)
-    calls = [_run(run, buffer("_b").all if test else None)
-             for run, (_, test, _) in zip(calls, runs)]
-    return _stepping(factory(*calls, **{name: consts[name] for name in names}), q, p)
-
-
-def _stepping(step: Callable[[], object], q: np.ndarray, p: np.ndarray) -> Kernel:
-    """The kernel (see Kernel) of an array kernel's one-step call on q and
-    p.  After each step q.q + p.p <= cap^2 bounds every component by the
-    cap (NaN and overflow fail it), and only a failing state pays for the
-    exact test."""
-    cap = BLOWUP_NORM_CAP
-    cap2 = cap * cap
-    absolute = np.abs
-    # x.x over every element of x, a block's too
-    qdot, pdot = (q.dot, p.dot) if q.ndim == 1 else (partial(np.vdot, q), partial(np.vdot, p))
-
-    def kernel(n: int) -> int:
-        try:
-            for i in range(n):
-                step()
-                if not (qdot(q) + pdot(p) <= cap2
-                        or absolute(q).max() <= cap and absolute(p).max() <= cap):
-                    return i
-        except NoConvergence as exc:
-            exc.steps = i
-            raise
-        return n
-
-    return kernel
+    namespace = {"isfinite": math.isfinite, "NoConvergence": NoConvergence, **_NUMPY}
+    exec(compile(source, f"<oscint {label}>", "exec"), namespace)
+    return namespace[factory]
 
 
 def _bind(sys: OscillatorySystem, statements: _Statements, consts: dict,

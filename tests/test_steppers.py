@@ -534,6 +534,10 @@ PUBLIC_STEPS = {
 }
 
 
+ALLOCATION_CASES = [(m, False) for m in ALL_METHODS] + [(m, True) for m in ALL_METHODS]
+ALLOCATION_IDS = [m.value + ("-block" if block else "") for m, block in ALLOCATION_CASES]
+
+
 class TestBufferOwnership:
     """A run steps buffers of its own: what goes in and what comes out
     share no memory with it or with each other."""
@@ -573,12 +577,18 @@ class TestBufferOwnership:
         s.q[0] = 5.0
         assert s0.q[0] == 2.0
 
-    @pytest.mark.parametrize("method", ALL_METHODS, ids=[m.value for m in ALL_METHODS])
-    def test_bound_step_allocates_no_array_data(self, method):
+    @pytest.mark.parametrize("method,block", ALLOCATION_CASES, ids=ALLOCATION_IDS)
+    def test_bound_step_allocates_no_array_data(self, method, block):
         # on the ell = 1000 lattice one state vector is 16 000 B; a step's
-        # own bookkeeping (the iteration counter, a reduced scalar) is far less
+        # own bookkeeping (the iteration counter, a reduced scalar) is far
+        # less.  A (2, d) block of the start (as propagation_matrix binds
+        # one) runs the same array kernel, its cap test over the whole block
         sys_ = fpu_build(FpuParams(ell=1000, omega=50.0))
-        _, q, p = _state_buffers(sys_, fpu_initial_state(sys_))
+        state0 = fpu_initial_state(sys_)
+        if block:
+            q, p = np.array([[state0.q, state0.q], [state0.p, state0.p]])
+        else:
+            _, q, p = _state_buffers(sys_, state0)
         kernel = _kernel(sys_, method, 0.01, q, p, substeps=3)
         kernel(1)
         tracemalloc.start()
@@ -590,7 +600,21 @@ class TestBufferOwnership:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - start < q.nbytes
+        assert peak - start < state0.q.nbytes
+
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=[m.value for m in ALL_METHODS])
+    def test_array_source_compiled_once_whatever_the_shape(self, method):
+        # the array kernel's source depends on the method alone: bound to
+        # the ell = 1000 lattice and then to a (2, 450) block of the model
+        # system, as the resonance sweep binds one, it compiles once
+        lattice = fpu_build(FpuParams(ell=1000, omega=50.0))
+        _, q, p = _state_buffers(lattice, fpu_initial_state(lattice))
+        _kernel(lattice, method, 0.01, q, p, substeps=3)
+        misses = steppers._factory.cache_info().misses
+        model = coupled_oscillator_build(np.linspace(1.0, 450.0, 450))
+        block = np.repeat(np.eye(2)[..., np.newaxis], 450, axis=-1)
+        _kernel(model, method, 0.1, *block, substeps=3)
+        assert steppers._factory.cache_info().misses == misses
 
 
 def _unbindable(sys_, force):

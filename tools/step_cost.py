@@ -34,10 +34,12 @@ model-sweep commands and the loops inside them:
     slow force behind a plain wrapper that keeps its bind but has no
     scalar source.
   - bind ell=N, METHOD cold|warm: one steppers._kernel call binding the
-    method to the canonical start of the ell = 3 lattice (generated float
-    code) or the ell = 1000 lattice (array kernels): "cold" with every
-    factory cache of the steppers module cleared first, so the bind
-    renders and compiles what it needs, "warm" after an untimed bind.
+    method to the canonical start of the ell = 3 lattice (the float
+    dialect) or the ell = 1000 lattice (the array dialect): "cold" with
+    every cache of the steppers module cleared first, so the bind renders
+    and compiles the method's source (the float one for its d, the array
+    one for every shape), "warm" after an untimed bind, so it compiles
+    nothing.
 The table gives the median and quartiles over the repeats.  Last, for
 each lattice size and method, the repeats in which the scalar path beat
 the array path; SCALAR_MAX_D is the largest d at which it wins 9 of 10.
