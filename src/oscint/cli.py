@@ -8,6 +8,7 @@ configurations give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -73,21 +74,24 @@ def _stop_meta(traj: Trajectory) -> dict:
 def _trajectory_lines(traj: Trajectory, meta: dict) -> list[str]:
     meta = {**meta, **_stop_meta(traj)}
     d = traj.qs.shape[1]
-    header = ["t"] + [f"q_{i}" for i in range(1, d + 1)] + [f"p_{i}" for i in range(1, d + 1)]
-    header.append("H")
+    header = ["t", _names("q", d), _names("p", d), "H"]
     columns = [traj.times, traj.qs, traj.ps, traj.energies]
     if traj.stiff is not None:
         names, stiff_columns = _stiff_columns(traj.stiff)
-        header += names
+        header.append(names)
         columns += stiff_columns
     return [_meta_line(meta), ",".join(header), *_rows(columns)]
 
 
-def _stiff_columns(stiff: np.ndarray) -> tuple[list[str], list[np.ndarray]]:
+def _names(prefix: str, n: int) -> str:
+    """The column names prefix_1,...,prefix_n, made in one join."""
+    return f"{prefix}_" + f",{prefix}_".join(map(str, range(1, n + 1)))
+
+
+def _stiff_columns(stiff: np.ndarray) -> tuple[str, list[np.ndarray]]:
     """Header and columns of the per-spring energies I_1..I_ell, then of
     their row sum I_total."""
-    names = [f"I_{j}" for j in range(1, stiff.shape[1] + 1)] + ["I_total"]
-    return names, [stiff, stiff.sum(axis=1)]
+    return _names("I", stiff.shape[1]) + ",I_total", [stiff, stiff.sum(axis=1)]
 
 
 def _build_system(args):
@@ -172,8 +176,8 @@ def cmd_fpu_exchange(args) -> int:
     if reference_stopped:
         meta.update((f"reference_{key}", value) for key, value in _stop_meta(reference).items())
     names, stiff_columns = _stiff_columns(traj.stiff)
-    header = ",".join(["t", *names, "H"])
-    lines = [_meta_line(meta), header, *_rows([traj.times, *stiff_columns, traj.energies])]
+    lines = [_meta_line(meta), f"t,{names},H",
+             *_rows([traj.times, *stiff_columns, traj.energies])]
     if result.sup_diffs is not None:
         pairs = " ".join(f"I_{j + 1}={_fmt(float(v))}" for j, v in enumerate(result.sup_diffs))
         lines.append(f"# windowed_sup_diff {pairs} window={_fmt(args.window)}")
@@ -200,7 +204,11 @@ def _print_convergence_row(row: ConvergenceRow) -> bool:
     return in_range
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: main reuses it for
+    every command.  parse_args leaves it as it was, and the cmd_* function
+    each subcommand binds by set_defaults is held in it too."""
     parser = _Parser(prog="oscint", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     methods = [m.value for m in Method]

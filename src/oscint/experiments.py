@@ -27,7 +27,8 @@ import numpy as np
 
 from .analysis import ENERGY_ERROR_CAP, convergence_order, propagation_matrix, windowed_mean
 from .steppers import MAX_STEPS, Method, StepperSpec, Trajectory, integrate, step_count
-from .systems import FpuParams, State, coupled_oscillator_build, fpu_build, fpu_initial_state
+from .systems import (FpuParams, State, _aligned, coupled_oscillator_build, fpu_build,
+                      fpu_initial_state)
 
 # Sweep initial condition: displacement 1/sqrt(1 + omega^2), zero momentum.
 # The model spring constant is 1 + omega^2, so this puts the same energy 1/2
@@ -75,6 +76,9 @@ def _linear_max_energy_errors(
     every step.  Each step is x1 = a x0 + b y0, y1 = c x0 + d y0 on the four
     coefficient vectors of `mats`, six calls into preallocated rows, with the
     steppers' lean calls: ufuncs looked up once, outputs passed positionally.
+    Every buffer starts on a 64-byte boundary, as the kernels' do
+    (systems._aligned): on numpy's own buffers the loop's time moved by a
+    few percent with where they landed.
 
     The energies are evaluated per block of K = SWEEP_BLOCK steps: the steps
     of a block write their states into rows 1..K of (K + 1, n) blocks x and
@@ -102,15 +106,14 @@ def _linear_max_energy_errors(
     to the inf - inf of products near 1e308.
     """
     n = mats.shape[0]
-    a, b = mats[:, 0, 0].copy(), mats[:, 0, 1].copy()
-    c, d = mats[:, 1, 0].copy(), mats[:, 1, 1].copy()
+    a, b, c, d = (_aligned((n,), mats[:, i, j]) for i in (0, 1) for j in (0, 1))
     k = SWEEP_BLOCK
-    xs, ys = np.empty((k + 1, n)), np.empty((k + 1, n))
+    xs, ys = _aligned((k + 1, n)), _aligned((k + 1, n))
     xs[0], ys[0] = q0, p0
     half_spring = 0.5 * spring
     h0 = 0.5 * ys[0] ** 2 + half_spring * xs[0] ** 2
-    err, block_max, tmp = np.zeros(n), np.empty(n), np.empty(n)
-    energy, term = np.empty((k, n)), np.empty((k, n))
+    err, block_max, tmp = _aligned((n,), 0.0), _aligned((n,)), _aligned((n,))
+    energy, term = _aligned((k, n)), _aligned((k, n))
     # (x0, y0, x1, y1) row views of each step of a block
     steps = list(zip(xs[:-1], ys[:-1], xs[1:], ys[1:]))
 

@@ -28,6 +28,11 @@ a statement, ALL and the cap test are written and where the state lives
 between calls.  On arrays (_array_kernel) each statement is one nested
 call of in-place ufuncs (_lower), outputs passed positionally, which
 skips the keyword parsing of out=; the source is the method's alone.
+Every buffer it binds, the run's state z included, starts on a 64-byte
+boundary (systems._aligned): numpy's own buffers are 16-byte aligned, and
+its AVX-512 loops split every store into one that is not, which made a
+wide state's step up to a fifth slower and its time depend on where the
+buffers landed.
 Even so a ufunc call costs ~0.3 us however short the state, and a step
 makes 10-20 of them for a few dozen flops.  So a single state (q.ndim ==
 1) of at most SCALAR_MAX_D axes whose slow force has scalar source
@@ -53,7 +58,8 @@ from typing import Callable
 
 import numpy as np
 
-from .systems import OscillatorySystem, State, _check_count, bind_slow_force, stiff_energies
+from .systems import (OscillatorySystem, State, _aligned, _check_count, bind_slow_force,
+                      stiff_energies)
 
 BLOWUP_NORM_CAP = 1e8
 # midpoint-full's fixed-point stopping rule: max-norm change and iteration cap
@@ -305,11 +311,11 @@ def _array_kernel(
     buffers = {"x": q, "v": p, "qdot": qdot, "pdot": pdot}
     for name in names:
         value = consts[name]
-        buffers[name] = value if isinstance(value, int) else np.full(shape, value)
+        buffers[name] = value if isinstance(value, int) else _aligned(shape, value)
 
     def buffer(name: str) -> np.ndarray:
         if name not in buffers:  # a vector, a scratch slot or _b
-            buffers[name] = np.empty(shape, dtype=bool if name == "_b" else float)
+            buffers[name] = _aligned(shape, dtype=bool if name == "_b" else float)
         return buffers[name]
 
     if slow is not None:  # g = SLOW(y), slow being (g, y)
@@ -485,11 +491,14 @@ def _kernel(
 
 def _state_buffers(sys: OscillatorySystem, state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A fresh contiguous z = [q | p] holding a copy of the state, and its
-    q and p views; rejects a state whose length is not the system's d."""
+    q and p views; rejects a state whose length is not the system's d.  z
+    starts on a 64-byte boundary (systems._aligned), and so does p when d
+    is a multiple of 8, as on every lattice of ell divisible by 4."""
     d = sys.d
     if state.q.size != d:
         raise ValueError(f"the initial state has length {state.q.size}, the system d={d}")
-    z = np.concatenate((state.q, state.p))
+    z = _aligned((2 * d,))
+    z[:d], z[d:] = state.q, state.p
     return z, z[:d], z[d:]
 
 

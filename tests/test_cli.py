@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscint.cli import EXIT_BLOWUP, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, main
+from oscint.cli import EXIT_BLOWUP, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, _build_parser, main
 from oscint.steppers import Method
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -58,6 +58,11 @@ def read_csv(path):
     return meta, body[0].split(","), body[1:]
 
 
+def header_line(path):
+    """The CSV's column-name line, as written."""
+    return next(l for l in path.read_text().splitlines() if not l.startswith("#"))
+
+
 class TestIntegrate:
     def test_model_run_writes_csv(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -82,12 +87,25 @@ class TestIntegrate:
             "--h", "0.1", "--t-end", "1.0", "--out", str(out),
         )
         assert proc.returncode == 0, proc.stderr
-        _, header, rows = read_csv(out)
-        assert header[-5:] == ["H", "I_1", "I_2", "I_3", "I_total"]
+        _, _, rows = read_csv(out)
+        assert header_line(out) == (
+            "t,q_1,q_2,q_3,q_4,q_5,q_6,p_1,p_2,p_3,p_4,p_5,p_6,H,I_1,I_2,I_3,I_total")
         assert float(rows[0].split(",")[-1]) == pytest.approx(1.0, rel=1e-12)
         # I_total is the writer's row sum of the per-spring columns
         block = np.array([[float(v) for v in row.split(",")[-4:]] for row in rows])
         assert block[:, 3] == pytest.approx(block[:, :3].sum(axis=1), rel=1e-12)
+
+    def test_wide_lattice_header(self, tmp_path):
+        # ell = 1000: d = 2000, so 1 + 2000 + 2000 + 1 + 1000 + 1 names
+        out = tmp_path / "wide.csv"
+        proc = run_cli("integrate", "--system", "fpu", "--ell", "1000", "--method", "imex",
+                       "--h", "0.1", "--t-end", "0.1", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        names = header_line(out).split(",")
+        assert len(names) == 5003
+        assert names[:2] == ["t", "q_1"] and names[-2:] == ["I_1000", "I_total"]
+        assert names[2000:2002] == ["q_2000", "p_1"]
+        assert names[4000:4003] == ["p_2000", "H", "I_1"]
 
     def test_blowup_exit_code(self, tmp_path):
         out = tmp_path / "unstable.csv"
@@ -202,8 +220,8 @@ class TestFpuExchange:
             "--reference-h", "0.02", "--out", str(out),
         )
         assert proc.returncode == 0, proc.stderr
-        meta, header, _ = read_csv(out)
-        assert header == ["t", "I_1", "I_2", "I_3", "I_total", "H"]
+        meta, _, _ = read_csv(out)
+        assert header_line(out) == "t,I_1,I_2,I_3,I_total,H"
         assert any(m.startswith("# windowed_sup_diff") for m in meta)
 
     def test_reference_blowup_is_reported(self, tmp_path):
@@ -294,6 +312,42 @@ def test_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cached_parser_gives_what_a_fresh_one_gives(tmp_path):
+    """main builds its parser once per process (_build_parser is cached)
+    and reuses it for every command.  The cached parser holds the cmd_*
+    functions its subcommands bind by set_defaults, so a command run on it
+    after others must give the exit code, stdout, stderr and CSV bytes it
+    gives on a freshly built one."""
+    commands = [
+        ("integrate", "--system", "model", "--method", "imex", "--h", "0.1",
+         "--t-end", "1", "--stride", "0"),
+        ("integrate", "--system", "fpu", "--method", "imex", "--h", "0.1", "--t-end", "1"),
+        ("resonance-sweep", "--grid", "0.5", "--max", "1.0", "--t-end", "50.0"),
+        ("convergence", "--method", "sv"),
+    ]
+
+    def run(i, args, directory):
+        out = directory / f"{i}.csv"
+        flags = () if args[0] == "convergence" else ("--out", str(out))
+        proc = run_cli(*args, *flags)
+        return proc.returncode, proc.stdout, proc.stderr, out.read_bytes() if out.exists() else None
+
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    reused.mkdir()
+    fresh.mkdir()
+    _build_parser.cache_clear()
+    got = [run(i, args, reused) for i, args in enumerate(commands)]
+    assert _build_parser.cache_info().misses == 1
+    assert _build_parser.cache_info().hits == len(commands) - 1
+    want = []
+    for i, args in enumerate(commands):
+        _build_parser.cache_clear()
+        want.append(run(i, args, fresh))
+    assert got == want
+    assert [code for code, *_ in got] == [EXIT_CONFIG, EXIT_OK, EXIT_OK, EXIT_OK]
+    assert got[0][2] == "oscint: error: stride must be >= 1\n"
 
 
 def test_csv_rows_match_per_value_format():

@@ -1,5 +1,6 @@
 """Unit tests for the one-step maps and the trajectory driver."""
 import functools
+import inspect
 import tracemalloc
 import warnings
 
@@ -615,6 +616,55 @@ class TestBufferOwnership:
         block = np.repeat(np.eye(2)[..., np.newaxis], 450, axis=-1)
         _kernel(model, method, 0.1, *block, substeps=3)
         assert steppers._factory.cache_info().misses == misses
+
+
+ALIGNMENT_SHAPES = ["lattice", "lattice-block", "model-block"]
+
+
+def _kernel_arrays(kernel) -> dict:
+    """The arrays a kernel binds, by name: its default arguments (x and v,
+    every constant, vector, scratch slot and _b) and, on the lattice, the
+    force's scratch c and three and its stretches' a and b."""
+    params = inspect.signature(kernel).parameters
+    arrays = {name: param.default for name, param in params.items()}
+    force = arrays["SLOW"]
+    if inspect.isfunction(force):  # the lattice force; the model's is a partial
+        scratch = inspect.getclosurevars(force).nonlocals
+        stretches = inspect.getclosurevars(scratch["stretches"]).nonlocals
+        arrays.update(c=scratch["c"], three=scratch["three"], a=stretches["a"], b=stretches["b"])
+    return {name: a for name, a in arrays.items() if isinstance(a, np.ndarray)}
+
+
+class TestAlignment:
+    """Every buffer a kernel binds starts on a 64-byte boundary, where
+    numpy's AVX-512 loops store whole vectors: the run state z = [q | p]
+    and its views, and the array kernel's and the lattice force's own."""
+
+    @pytest.mark.parametrize("shape", ALIGNMENT_SHAPES)
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=[m.value for m in ALL_METHODS])
+    def test_kernel_buffers_start_on_64_byte_boundaries(self, method, shape):
+        if shape == "model-block":
+            # a (2, 450) block of the model system, as the resonance sweep binds
+            sys_ = coupled_oscillator_build(np.linspace(1.0, 450.0, 450))
+            q, p = np.repeat(np.eye(2)[..., np.newaxis], 450, axis=-1)
+        else:
+            sys_ = fpu_build(FpuParams(ell=1000, omega=50.0))
+            state0 = fpu_initial_state(sys_)
+            z, q, p = _state_buffers(sys_, state0)
+            if shape == "lattice-block":
+                q, p = np.array([[state0.q, state0.q], [state0.p, state0.p]])
+        arrays = _kernel_arrays(_kernel(sys_, method, 0.01, q, p, substeps=3))
+        if shape == "lattice":
+            assert arrays["x"] is q and arrays["v"] is p
+            arrays.update(z=z)
+        else:  # a block's q and p are the caller's
+            del arrays["x"], arrays["v"]
+        if sys_.ell is not None:
+            assert {"a", "b", "c", "three"} <= arrays.keys()
+        assert len(arrays) >= 5
+        misaligned = {name: a.ctypes.data % 64 for name, a in arrays.items()
+                      if a.ctypes.data % 64}
+        assert not misaligned
 
 
 def _unbindable(sys_, force):

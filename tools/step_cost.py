@@ -33,6 +33,12 @@ model-sweep commands and the loops inside them:
     "scalar" with SCALAR_MAX_D raised to cover d = 2 ell, "array" with the
     slow force behind a plain wrapper that keeps its bind but has no
     scalar source.
+  - ell=1000 METHOD canonical|excited: a 200-step run at h = 0.01 on the
+    ell = 1000 lattice (d = 2000, the array path, as lattice-large runs),
+    per step: from the canonical start, whose far springs stay unstretched,
+    and from that start plus a fixed-seed perturbation of every
+    coordinate, whose stretches are all nonzero, about half negative (the
+    cube's costly case).
   - bind ell=N, METHOD cold|warm: one steppers._kernel call binding the
     method to the canonical start of the ell = 3 lattice (the float
     dialect) or the ell = 1000 lattice (the array dialect): "cold" with
@@ -66,6 +72,12 @@ EXCHANGE_RUNS = {"imex h=0.03 stride 1": ("imex", 0.03, 1000, 1),
 SWEEP_STEPS = 2000
 PATH_ELLS = (1, 2, 3, 4, 6, 8, 10, 12, 14, 16)
 PATH_METHODS = ("sv", "imex")
+WIDE_ELL = 1000
+WIDE_STEPS = 200
+# the excited start: the canonical one plus EXCITATION times standard
+# normal draws of this seed on every coordinate
+EXCITATION = 0.01
+EXCITATION_SEED = 0
 BIND_ELLS = (3, 1000)
 
 
@@ -166,6 +178,22 @@ def lattice_and_start(oscint, ell: int):
     return lattice, oscint.fpu_initial_state(lattice)
 
 
+@cache
+def excited_start(oscint, ell: int):
+    lattice, state0 = lattice_and_start(oscint, ell)
+    np = oscint.steppers.np
+    dq, dp = EXCITATION * np.random.default_rng(EXCITATION_SEED).standard_normal((2, lattice.d))
+    return oscint.State(0.0, state0.q + dq, state0.p + dp)
+
+
+def us_per_wide_step(oscint, method: str, start: str) -> float:
+    """A run on the ell = WIDE_ELL lattice from its canonical or excited start."""
+    lattice, state0 = lattice_and_start(oscint, WIDE_ELL)
+    if start == "excited":
+        state0 = excited_start(oscint, WIDE_ELL)
+    return run_seconds(oscint, lattice, state0, method, WIDE_STEPS) / WIDE_STEPS * 1e6
+
+
 def us_per_bind(oscint, ell: int, method: str, cold: bool) -> float:
     """One bind of the method's kernel to a fresh copy of the ell lattice's
     canonical start; cold clears the steppers module's factory caches."""
@@ -233,6 +261,10 @@ def main() -> None:
             for path in ("scalar", "array"):
                 cases[f"ell={ell}", f"{m} {path}"] = partial(
                     us_per_lattice_step, ell=ell, method=m, path=path)
+    for m in METHODS:
+        for start in ("canonical", "excited"):
+            cases[f"ell={WIDE_ELL}", f"{m} {start}"] = partial(
+                us_per_wide_step, method=m, start=start)
     for ell in BIND_ELLS:
         for m in METHODS:
             for temperature in ("cold", "warm"):
