@@ -22,12 +22,12 @@ steps up to the next recorded state; every single step outside it
 which silences a diverging midpoint-full iteration's overflow, as
 integrate does for a whole run.
 
-One generator (_factory) renders the statements to Python source in two
-dialects, from one set of constants (_constants); they differ only in how
-a statement, ALL and the cap test are written and where the state lives
-between calls.  On arrays (_array_kernel) each statement is one nested
-call of in-place ufuncs (_lower), outputs passed positionally, which
-skips the keyword parsing of out=; the source is the method's alone.
+One template (_factory) renders the statements to a generator's source
+in two dialects, from one set of constants (_constants); they differ only
+in how a statement, ALL and the cap test are written and where the state
+lives within a call.  On arrays (_array_kernel) each statement is one
+nested call of in-place ufuncs (_lower), outputs passed positionally,
+which skips the keyword parsing of out=; the source is the method's alone.
 Every buffer it binds, the run's state z included, starts on a 64-byte
 boundary (systems._aligned): numpy's own buffers are 16-byte aligned, and
 its AVX-512 loops split every store into one that is not, which made a
@@ -54,7 +54,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, repeat
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -86,8 +86,12 @@ BLOWUP = "blowup"
 # stops right after the first state that fails.  It returns how many of its
 # steps stayed within the cap: n, or k < n when step k + 1 left it, q and p
 # then holding that state.  A NoConvergence raised in step k + 1 leaves q
-# and p at the state before it, with k in its steps attribute.  Every
-# kernel, in floats or on arrays, comes from one template (_factory).
+# and p at the state before it, with k in its steps attribute.  A kernel
+# is the send of a primed generator (_bind), in floats or on arrays, from
+# one template (_factory).  Between calls q and p belong to it: it keeps
+# the half kick it computed from the state it left, and the float dialect
+# also keeps its own copy of that state.  To restart from other values,
+# bind again.  A kernel that raised is spent.
 Kernel = Callable[[int], int]
 
 
@@ -131,28 +135,26 @@ class _Statements:
     bound, and step once per step.  x and v stand for q and p; w2, den, cos,
     hw2 and nw2 are per-axis constants, h, half, quarter_h2, dt, half_dt
     and tol floats, max_iter and substeps ints (_constants).  Any other name
-    is a vector: x, v and the carried ones keep their values between calls,
-    the rest are temporaries (n, cap, cap2, qdot, pdot, _b and s0, s1, ...
-    are the kernel's own).  g = SLOW(y) sets g to the slow force at y;
-    ALL(e) holds when e holds on every axis.  Lines that begin with for,
-    if, else, raise or break are Python as written, in both dialects."""
+    is a vector (n, cap, cap2, qdot, pdot, _b and s0, s1, ... are the
+    kernel's own), and keeps its value from step to step and call to call.
+    g = SLOW(y) sets g to the slow force at y; ALL(e) holds when e holds
+    on every axis.  Lines that begin with for, if, else, raise or break
+    are Python as written, in both dialects."""
 
     name: str
     setup: tuple[str, ...]
     step: tuple[str, ...]
-    carried: tuple[str, ...] = ()
 
 
 def _splitting(name: str, inner: tuple[str, ...], kick: str = "k = half * g",
-               carried: tuple[str, ...] = (), setup: tuple[str, ...] = ()) -> _Statements:
+               setup: tuple[str, ...] = ()) -> _Statements:
     """Half kick k = (h/2) F(x), the inner map across h, half kick.  The
-    half kick is carried: evaluated when the kernel is bound, a step's
-    closing kick is the next step's opening kick, so n steps evaluate the
-    slow force n + 1 times.  That holds while only the inner map moves x;
-    RESPA's substeps, whose kicks move only v, carry their kick too."""
+    half kick is carried: setup evaluates it, and a step's closing kick is
+    the next step's opening kick, so n steps evaluate the slow force n + 1
+    times.  That holds while only the inner map moves x; RESPA's substeps,
+    whose kicks move only v, carry their kick ks too."""
     force = ("g = SLOW(x)", kick)
-    return _Statements(name, setup + force, ("v = v + k", *inner, *force, "v = v + k"),
-                       ("k",) + carried)
+    return _Statements(name, setup + force, ("v = v + k", *inner, *force, "v = v + k"))
 
 
 # Implicit midpoint on x'' = -w2 x, per axis: solves
@@ -178,7 +180,7 @@ _STATEMENTS = {
         "    x = x + dt * v",
         "    ks = half_dt * (nw2 * x)",
         "    v = v + ks",
-    ), carried=("ks",), setup=("ks = half_dt * (nw2 * x)",)),
+    ), setup=("ks = half_dt * (nw2 * x)",)),
     # Rotation of each axis by its modified frequency: with a = h omega/2,
     # tan(w~ h/2) = a, c = cos(w~ h) = (1 - a^2)/(1 + a^2), and the map is
     # [[c, (h/2)(1 + c)], [-(2/h)(1 - c), c]].  Its entries are taken over
@@ -277,12 +279,12 @@ def _names(statements: _Statements) -> tuple[tuple[str, ...], tuple[str, str] | 
 
 def _scalar_kernel(
     sys: OscillatorySystem, statements: _Statements, consts: dict, q: np.ndarray, p: np.ndarray
-) -> Kernel | None:
-    """The statements' kernel on one state of d axes in Python floats, or
-    None when the slow force has no scalar source (SlowForce.scalar_source).
-    Every constant is passed in by name, so no user value enters the source
-    and nothing is folded: an axis with w2_i = 0 still computes 0.0 * x and
-    keeps its signed zero."""
+) -> Generator | None:
+    """The statements' kernel generator on one state of d axes in Python
+    floats, unprimed (see _bind), or None when the slow force has no
+    scalar source (SlowForce.scalar_source).  Every constant is passed in
+    by name, so no user value enters the source and nothing is folded: an
+    axis with w2_i = 0 still computes 0.0 * x and keeps its signed zero."""
     d = q.size
     names, at = _names(statements)
     g, y = at or ("g", "x")
@@ -299,11 +301,12 @@ def _scalar_kernel(
 
 def _array_kernel(
     sys: OscillatorySystem, statements: _Statements, consts: dict, q: np.ndarray, p: np.ndarray
-) -> Kernel:
-    """The statements' kernel on q and p, one state or a block of states
-    (leading axes).  Every buffer, float and per-axis constant is an array
-    shaped like q: a scalar costs numpy a conversion per call, and a call
-    that broadcasts allocates a buffer the size of the block."""
+) -> Generator:
+    """The statements' kernel generator on q and p, one state or a block
+    of states (leading axes), unprimed (see _bind).  Every buffer, float
+    and per-axis constant is an array shaped like q: a scalar costs numpy
+    a conversion per call, and a call that broadcasts allocates a buffer
+    the size of the block."""
     names, slow = _names(statements)
     shape = q.shape
     # x.x over every element of x, a block's too
@@ -361,20 +364,20 @@ def _call(text: str, names: dict) -> str:
 @lru_cache(maxsize=32)
 def _factory(statements: _Statements, d: int | None, slow: tuple[str, ...],
              consts: tuple[str, ...], operands: tuple[str, ...]):
-    """The compiled factory of the statements' kernel (see Kernel), in the
-    float dialect on d axes (_scalar_kernel) or, d None, the array dialect
-    (_array_kernel).  slow is what g = SLOW(y) becomes, consts name the
-    constants and operands the objects slow reads.  Either kernel loops
-    over the steps itself, its constants and buffers default arguments
-    (fast locals), and Python lines are written as they are.
+    """The compiled generator function of the statements' kernel (see
+    Kernel), in the float dialect on d axes (_scalar_kernel) or, d None,
+    the array dialect (_array_kernel).  slow is what g = SLOW(y) becomes,
+    consts name the constants and operands the objects slow reads.  The
+    generator runs setup and yields; sent n, it takes up to n steps and
+    yields how many stayed within the cap, no yield inside the try.  Every
+    name is a local of its frame, and Python lines are written as they are.
 
     Floats: each statement is written out axis by axis by name
     substitution: vector y becomes y0, y1, ..., per-axis constant c c_0,
-    c_1, ..., and ALL(e) the conjunction of e on every axis.  The carried
-    floats, x and v among them, live in one closure tuple between calls,
-    and q and p are written once, when the call ends.  After each step
-    -cap <= y <= cap is tested on every component, which decides as
-    abs(y) <= cap does (False for a NaN).
+    c_1, ..., and ALL(e) the conjunction of e on every axis.  The state
+    lives in the floats x0, v0, ..., written to q and p once, when a call
+    ends, however it ends.  After each step -cap <= y <= cap is tested on
+    every component, which decides as abs(y) <= cap does (False for a NaN).
 
     Arrays: each statement is one nested in-place ufunc call (_lower) and
     ALL(e) e's call into the boolean buffer _b, then .all(); x and v are q
@@ -417,11 +420,6 @@ def _factory(statements: _Statements, d: int | None, slow: tuple[str, ...],
 
     setup, step = render(statements.setup), render(statements.step)
     if floats:
-        state = "".join(f"{name}{i}, " for name in ("x", "v") + statements.carried
-                        for i in range(d))
-        defaults = [c for c in consts if c not in _PER_AXIS]
-        defaults += [f"{c}_{i}" for c in consts if c in _PER_AXIS for i in range(d)]
-        defaults += [*operands, "cap", "ncap", "q", "p"]
         factory, label = "_scalar_kernel", f"scalar kernel: {statements.name}, d={d}"
         head = [
             f"def {factory}(q, p, cap, {', '.join(consts + operands)}):",
@@ -430,27 +428,23 @@ def _factory(statements: _Statements, d: int | None, slow: tuple[str, ...],
             "    " + unpack("x", "q.tolist()"), "    " + unpack("v", "p.tolist()"),
             *indent(unpack(c + "_", c) for c in consts if c in _PER_AXIS),
         ]
-        load, store = ["nonlocal _state", f"{state}= _state"], [f"_state = {state}"]
         within = " and ".join(f"ncap <= {z}{i} <= cap" for i in range(d) for z in "xv")
-        end = ["finally:", *indent([f"_state = {state}", *(f"q[{i}] = x{i}" for i in range(d)),
-                                    *(f"p[{i}] = v{i}" for i in range(d))])]
+        end = ["finally:", *indent(f"{b}[{i}] = {z}{i}" for b, z in ("qx", "pv") for i in range(d))]
     else:
         factory, label = "_array_kernel", f"array kernel: {statements.name}"
-        defaults = [*names, "cap", "cap2"]
         head = [f"def {factory}(buffer, cap):",
                 f"    {', '.join(names)}, = map(buffer, {tuple(names)!r})",
                 "    cap2 = cap * cap"]
-        load, store, end = [], [], []
+        end = []
         within = ("qdot(x) + pdot(v) <= cap2"
                   " or _absolute(x).max() <= cap and _absolute(v).max() <= cap")
     source = "\n".join([
         *head,
         *indent([
             *setup,
-            *store,
-            f"def kernel(n, {', '.join(f'{name}={name}' for name in defaults)}):",
+            "n = yield",
+            "while True:",
             *indent([
-                *load,
                 "try:",
                 "    for _i in range(n):",
                 *indent(indent([
@@ -463,9 +457,8 @@ def _factory(statements: _Statements, d: int | None, slow: tuple[str, ...],
                 "    _exc.steps = _i",
                 "    raise",
                 *end,
-                "return n",
+                "n = yield n",
             ]),
-            "return kernel",
         ]),
     ])
     namespace = {"isfinite": math.isfinite, "NoConvergence": NoConvergence, **_NUMPY}
@@ -475,10 +468,13 @@ def _factory(statements: _Statements, d: int | None, slow: tuple[str, ...],
 
 def _bind(sys: OscillatorySystem, statements: _Statements, consts: dict,
           q: np.ndarray, p: np.ndarray) -> Kernel:
-    """The statements' kernel bound to q and p, in floats where it can be."""
+    """The statements' kernel bound to q and p, in floats where it can be:
+    its generator's send, primed by running setup to the first yield."""
     kernel = (q.ndim == 1 and q.size <= SCALAR_MAX_D
-              and _scalar_kernel(sys, statements, consts, q, p))
-    return kernel or _array_kernel(sys, statements, consts, q, p)
+              and _scalar_kernel(sys, statements, consts, q, p)
+              or _array_kernel(sys, statements, consts, q, p))
+    next(kernel)
+    return kernel.send
 
 
 def _kernel(

@@ -301,6 +301,16 @@ class TestWorkBound:
         with pytest.raises(ValueError, match="takes more than"):
             integrate(model50, spec, State(0.0, [1.0], [0.0]), 0.5 * MAX_STEPS + 0.5)
 
+    def test_sample_block_rows_hold_2d_floats(self, model50, fpu_sys, fpu_state0):
+        # MAX_STEPS bounds a stride-1 sample block on the promise that a
+        # row holds one state, 2d floats: 2 on the model, 6 on ell = 3
+        for sys_, start in ((model50, State(0.0, [0.01], [0.0])), (fpu_sys, fpu_state0)):
+            traj = integrate(sys_, StepperSpec(Method.IMEX, 0.1), start, start.t + 1.05)
+            block = traj.qs.base
+            assert block is traj.ps.base
+            assert block.shape == (11 + 2, 2 * sys_.d)
+            assert block.nbytes == 13 * 2 * sys_.d * 8
+
 
 class TestIntegrate:
     def test_time_grid_and_sampling(self, model50):
@@ -448,11 +458,26 @@ class TestIntegrate:
         assert len(traj.times) - 1 == 100
         assert len(calls) == 101
 
+    @pytest.mark.parametrize("path", ["float", "array"])
+    @pytest.mark.parametrize("method", list(Method), ids=[m.value for m in Method])
     @pytest.mark.parametrize("stride", [2, 3, 7])
-    def test_stride_subsamples_the_stride_one_run(self, fpu_sys, fpu_state0, stride):
-        spec = StepperSpec(method=Method.IMEX, h=0.05)
-        full = integrate(fpu_sys, spec, fpu_state0, 2.0)
-        sub = integrate(fpu_sys, spec, fpu_state0, 2.0, stride=stride)
+    def test_stride_subsamples_the_stride_one_run(self, fpu_sys, fpu_state0, stride, method,
+                                                  path):
+        # a stride-k run calls its kernel once per k steps, each call going
+        # on from the state and half kicks the last one left.  The ell = 3
+        # lattice steps in floats, and on arrays with its force behind a
+        # lambda.  SV's h omega stays below 2, and midpoint-full's h within
+        # its fixed point's contraction limit
+        sys_ = fpu_sys
+        if path == "array":
+            sys_ = _unbindable(fpu_sys, lambda x: fpu_sys.slow_force(x))
+        h = 0.01 if method in (Method.SV, Method.MIDPOINT_FULL) else 0.05
+        spec = StepperSpec(method=method, h=h, substeps=3)
+        kernel = _kernel(sys_, method, h, fpu_state0.q.copy(), fpu_state0.p.copy(), 3)
+        assert _dialect(kernel) == ("_scalar_kernel" if path == "float" else "_array_kernel")
+        full = integrate(sys_, spec, fpu_state0, 2.0)
+        sub = integrate(sys_, spec, fpu_state0, 2.0, stride=stride)
+        assert full.completed
         for got, want in (
             (sub.times, full.times),
             (sub.qs, full.qs),
@@ -622,11 +647,10 @@ ALIGNMENT_SHAPES = ["lattice", "lattice-block", "model-block"]
 
 
 def _kernel_arrays(kernel) -> dict:
-    """The arrays a kernel binds, by name: its default arguments (x and v,
-    every constant, vector, scratch slot and _b) and, on the lattice, the
-    force's scratch c and three and its stretches' a and b."""
-    params = inspect.signature(kernel).parameters
-    arrays = {name: param.default for name, param in params.items()}
+    """The arrays a kernel binds, by name: its generator's locals (x and
+    v, every constant, vector, scratch slot and _b) and, on the lattice,
+    the force's scratch c and three and its stretches' a and b."""
+    arrays = dict(kernel.__self__.gi_frame.f_locals)
     force = arrays["SLOW"]
     if inspect.isfunction(force):  # the lattice force; the model's is a partial
         scratch = inspect.getclosurevars(force).nonlocals
@@ -749,6 +773,11 @@ def _assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _dialect(kernel) -> str:
+    """The factory that rendered a kernel: _scalar_kernel or _array_kernel."""
+    return kernel.__self__.gi_code.co_name
+
+
 def _run_kernel(sys_, method, h, substeps, z, n_steps, block):
     """Step the kernel bound to z[0] and z[1] n_steps steps, calling it for
     up to block steps at a time, and stop as integrate does.  Each call's
@@ -802,8 +831,8 @@ def _assert_scalar_kernel_matches_block(sys_, method, h, substeps, q0, p0, n_ste
                     for path, start in starts.items() for block in BLOCKS}
     got_kernel, got, got_end = runs["float", 1]
     want_kernel, want, want_end = runs["array", 1]
-    assert "_scalar_kernel" in got_kernel.__qualname__
-    assert "_scalar_kernel" not in want_kernel.__qualname__
+    assert _dialect(got_kernel) == "_scalar_kernel"
+    assert _dialect(want_kernel) == "_array_kernel"
     assert got_end == want_end and got.keys() == want.keys()
     # A NaN (only ever in the last, blow-up state) may differ in sign:
     # where both operands of an add are NaN, numpy's in-place add on one
@@ -897,14 +926,14 @@ class TestFloatKernels:
         # force has scalar source; arrays for a longer state, a block and a
         # force without it
         def bound(sys_, shape):
-            return _kernel(sys_, Method.IMEX, 0.01, np.zeros(shape), np.zeros(shape)).__qualname__
+            return _dialect(_kernel(sys_, Method.IMEX, 0.01, np.zeros(shape), np.zeros(shape)))
 
         d = steppers.SCALAR_MAX_D
         for n in (1, d):
             sys_ = coupled_oscillator_build(np.full(n, 2.0))
-            assert "_scalar_kernel" in bound(sys_, n)
-            assert "_scalar_kernel" not in bound(sys_, (1, n))
-            assert "_scalar_kernel" not in bound(_unbindable(sys_, lambda x: -x), n)
-        assert "_scalar_kernel" not in bound(coupled_oscillator_build(np.full(d + 1, 2.0)), d + 1)
-        assert "_scalar_kernel" in bound(fpu_build(FpuParams(d // 2, 50.0)), d // 2 * 2)
-        assert "_scalar_kernel" not in bound(fpu_build(FpuParams(d // 2 + 1, 50.0)), d // 2 * 2 + 2)
+            assert bound(sys_, n) == "_scalar_kernel"
+            assert bound(sys_, (1, n)) == "_array_kernel"
+            assert bound(_unbindable(sys_, lambda x: -x), n) == "_array_kernel"
+        assert bound(coupled_oscillator_build(np.full(d + 1, 2.0)), d + 1) == "_array_kernel"
+        assert bound(fpu_build(FpuParams(d // 2, 50.0)), d // 2 * 2) == "_scalar_kernel"
+        assert bound(fpu_build(FpuParams(d // 2 + 1, 50.0)), d // 2 * 2 + 2) == "_array_kernel"

@@ -1,0 +1,91 @@
+"""Whether two oscint checkouts give the same outputs, byte for byte.
+
+    python3 tools/same_outputs.py PARENT_SRC SRC
+
+PARENT_SRC and SRC are the src directories of two oscint checkouts.  Each
+command below runs once against each tree, as `python -m oscint ...` in a
+fresh process whose working directory is a fresh empty directory, so
+every path the command prints or writes is the same relative one.  A
+command's outputs are its exit code, stdout, stderr and the bytes of every
+file it leaves in that directory (its CSV).  One line per command says
+"same" or names what differs; the exit status is 1 if anything differs.
+
+The commands fix every argument: fpu-exchange at its defaults and at the
+exchange-small benchmark's arguments (omega 47.3), IMEX and modified
+impulse on the ell=1000 lattice at the lattice-large benchmark's h and
+stride, resonance-sweep and convergence at their defaults, RESPA on the
+ell=1000 and ell=3 lattices, midpoint-full on the ell=3 lattice, three
+runs that blow up (midpoint-full's NoConvergence and Stormer-Verlet on the
+model, IMEX at h = 0.6 on the lattice).
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+LATTICE_LARGE = ["--system", "fpu", "--ell", "1000", "--h", "0.03", "--t-end", "2.0",
+                 "--stride", "67"]
+COMMANDS = {
+    "fpu-exchange defaults": ["fpu-exchange", "--out", "out.csv"],
+    "fpu-exchange exchange-small": [
+        "fpu-exchange", "--method", "imex", "--h", "0.03", "--t-end", "30.0", "--ell", "3",
+        "--omega", "47.3", "--reference-h", "0.001", "--stride", "1", "--out", "out.csv"],
+    "integrate imex ell=1000": ["integrate", "--method", "imex", *LATTICE_LARGE,
+                                "--out", "out.csv"],
+    "integrate modified-impulse ell=1000": ["integrate", "--method", "modified-impulse",
+                                            *LATTICE_LARGE, "--out", "out.csv"],
+    "resonance-sweep defaults": ["resonance-sweep", "--out", "out.csv"],
+    "convergence defaults": ["convergence"],
+    "integrate respa ell=1000": ["integrate", "--method", "respa", "--substeps", "5",
+                                 *LATTICE_LARGE, "--out", "out.csv"],
+    "integrate respa ell=3": [
+        "integrate", "--system", "fpu", "--method", "respa", "--substeps", "10", "--h", "0.01",
+        "--t-end", "10.0", "--stride", "13", "--out", "out.csv"],
+    "integrate midpoint-full ell=3": [
+        "integrate", "--system", "fpu", "--method", "midpoint-full", "--h", "0.01",
+        "--t-end", "2.0", "--stride", "1", "--out", "out.csv"],
+    "integrate midpoint-full model no-convergence": [
+        "integrate", "--system", "model", "--method", "midpoint-full", "--h", "0.05",
+        "--omega", "50.0", "--t-end", "10.0", "--stride", "7", "--out", "out.csv"],
+    "integrate sv model blow-up": [
+        "integrate", "--system", "model", "--method", "sv", "--h", "3.0", "--t-end", "30.0",
+        "--stride", "4", "--out", "out.csv"],
+    "integrate imex ell=3 blow-up": [
+        "integrate", "--system", "fpu", "--method", "imex", "--h", "0.6", "--t-end", "10.0",
+        "--stride", "3", "--out", "out.csv"],
+}
+
+
+def outputs(src: Path, argv: list[str]) -> dict[str, object]:
+    """The exit code, stdout, stderr and written files of one command run
+    against the tree src, in a fresh process and a fresh directory."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    with tempfile.TemporaryDirectory() as work:
+        run = subprocess.run([sys.executable, "-m", "oscint", *argv], cwd=work, env=env,
+                             capture_output=True)
+        files = {p.name: p.read_bytes() for p in sorted(Path(work).iterdir())}
+    return {"exit code": run.returncode, "stdout": run.stdout, "stderr": run.stderr,
+            **{f"file {name}": data for name, data in files.items()}}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("src", type=Path)
+    args = parser.parse_args()
+    differ = False
+    for label, argv in COMMANDS.items():
+        want, got = (outputs(src.resolve(), argv) for src in (args.parent_src, args.src))
+        diffs = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+        differ |= bool(diffs)
+        verdict = f"differ: {', '.join(diffs)}" if diffs else "same"
+        print(f"{label:<46} exit {want['exit code']}  {verdict}", flush=True)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
