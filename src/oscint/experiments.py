@@ -338,18 +338,21 @@ def convergence_study(
 ) -> list[ConvergenceRow]:
     """Global error against the closed-form model solution at h, h/2, h/4, ...
 
-    The error is the final-state phase-space distance at the actual end time
-    of each run (an exact step multiple of h).
+    Level k takes n0 2^k steps of h/2^k, n0 the steps of h to t_end, so all
+    end at n0 h; the error is the final-state phase-space distance there.
     """
     sys = coupled_oscillator_build(omega)
     rows = []
     for method in methods:
         hs, errors = [], []
         blew_up = False
+        n0 = step_count(StepperSpec(method=method, h=h), 0.0, t_end, 1)
         for level in range(levels):
             h_level = h / 2 ** level
             spec = StepperSpec(method=method, h=h_level)
-            traj = integrate(sys, spec, State(0.0, [q0], [p0]), t_end, stride=10 ** 9)
+            # half a step short of n0 2^k steps, which step_count rounds up to
+            t_level = (n0 * 2 ** level - 0.5) * h_level
+            traj = integrate(sys, spec, State(0.0, [q0], [p0]), t_level, stride=10 ** 9)
             hs.append(h_level)
             if not traj.completed:
                 blew_up = True

@@ -23,11 +23,12 @@ which silences a diverging midpoint-full iteration's overflow, as
 integrate does for a whole run.
 
 One template (_factory) renders the statements to a generator's source
-in two dialects, from one set of constants (_constants); they differ only
-in how a statement, ALL and the cap test are written and where the state
-lives within a call.  On arrays (_array_kernel) each statement is one
-nested call of in-place ufuncs (_lower), outputs passed positionally,
-which skips the keyword parsing of out=; the source is the method's alone.
+in two dialects, on the constants each method declares beside them
+(_constants); they differ only in how a statement, ALL and the cap test
+are written and where the state lives within a call.  On arrays
+(_array_kernel) each statement is one nested call of in-place ufuncs
+(_lower), outputs passed positionally, which skips the keyword parsing
+of out=; the source is the method's alone.
 Every buffer it binds, the run's state z included, starts on a 64-byte
 boundary (systems._aligned): numpy's own buffers are 16-byte aligned, and
 its AVX-512 loops split every store into one that is not, which made a
@@ -54,6 +55,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, repeat
+from types import CodeType
 from typing import Callable, Generator
 
 import numpy as np
@@ -131,12 +133,13 @@ class StepperSpec:
 
 @dataclass(frozen=True)
 class _Statements:
-    """One method in vector notation: setup runs once, when the kernel is
-    bound, and step once per step.  x and v stand for q and p; w2, den, cos,
-    hw2 and nw2 are per-axis constants, h, half, quarter_h2, dt, half_dt
-    and tol floats, max_iter and substeps ints (_constants).  Any other name
-    is a vector (n, cap, cap2, qdot, pdot, _b and s0, s1, ... are the
-    kernel's own), and keeps its value from step to step and call to call.
+    """One method in vector notation.  consts, lines name = expression in
+    the base constants (_constants) and earlier lines' names, runs when
+    the kernel is bound; a constant is per-axis when its value is an
+    array, else a float or an int.  Then setup runs once and step once per
+    step; in them x and v stand for q and p, and any other name is a
+    vector (n, cap, cap2, qdot, pdot, _b and s0, s1, ... are the kernel's
+    own), keeping its value from step to step and call to call.
     g = SLOW(y) sets g to the slow force at y; ALL(e) holds when e holds
     on every axis.  Lines that begin with for, if, else, raise or break
     are Python as written, in both dialects."""
@@ -144,32 +147,32 @@ class _Statements:
     name: str
     setup: tuple[str, ...]
     step: tuple[str, ...]
+    consts: tuple[str, ...] = ()
 
 
 def _splitting(name: str, inner: tuple[str, ...], kick: str = "k = half * g",
-               setup: tuple[str, ...] = ()) -> _Statements:
+               setup: tuple[str, ...] = (), consts: tuple[str, ...] = ()) -> _Statements:
     """Half kick k = (h/2) F(x), the inner map across h, half kick.  The
     half kick is carried: setup evaluates it, and a step's closing kick is
     the next step's opening kick, so n steps evaluate the slow force n + 1
     times.  That holds while only the inner map moves x; RESPA's substeps,
     whose kicks move only v, carry their kick ks too."""
     force = ("g = SLOW(x)", kick)
-    return _Statements(name, setup + force, ("v = v + k", *inner, *force, "v = v + k"))
+    return _Statements(name, setup + force, ("v = v + k", *inner, *force, "v = v + k"), consts)
 
 
 # Implicit midpoint on x'' = -w2 x, per axis: solves
 # (1 + (h^2/4) w2) x1 = (1 - (h^2/4) w2) x0 + h v0, den = 1 + (h^2/4) w2,
 # then v1 = v0 - (h/2) w2 (x0 + x1); it exactly conserves the fast energy.
-_STIFF_MIDPOINT = (
+_FAST_MIDPOINT = _Statements("midpoint-fast", (), (
     "w2x = w2 * x",
     "x = (x + h * v - quarter_h2 * w2x) / den",
     "v = v - half * (w2x + w2 * x)",
-)
-_FAST_MIDPOINT = _Statements("midpoint-fast", (), _STIFF_MIDPOINT)
+), ("den = 1.0 + quarter_h2 * w2",))
 _STATEMENTS = {
     # Stormer-Verlet kicks with the full force g - w2 x around a drift
     Method.SV: _splitting("sv", ("x = x + h * v",), kick="k = half * (g - w2 * x)"),
-    Method.IMEX: _splitting("imex", _STIFF_MIDPOINT),
+    Method.IMEX: _splitting("imex", _FAST_MIDPOINT.step, consts=_FAST_MIDPOINT.consts),
     # `substeps` Stormer-Verlet steps of the stiff force alone across h, a
     # kick-drift-kick whose kick ks carries over too.  The stiff force is
     # nw2 x, nw2 = -w2 negated once: its half kick is exactly
@@ -180,7 +183,8 @@ _STATEMENTS = {
         "    x = x + dt * v",
         "    ks = half_dt * (nw2 * x)",
         "    v = v + ks",
-    ), setup=("ks = half_dt * (nw2 * x)",)),
+    ), setup=("ks = half_dt * (nw2 * x)",), consts=("dt = h / substeps", "half_dt = 0.5 * dt",
+                                                  "nw2 = -w2")),
     # Rotation of each axis by its modified frequency: with a = h omega/2,
     # tan(w~ h/2) = a, c = cos(w~ h) = (1 - a^2)/(1 + a^2), and the map is
     # [[c, (h/2)(1 + c)], [-(2/h)(1 - c), c]].  Its entries are taken over
@@ -191,7 +195,8 @@ _STATEMENTS = {
         "u = cos * x + h * v",
         "v = (cos * v - hw2 * x) / den",
         "x = u / den",
-    )),
+    ), consts=("a2 = (0.5 * h * omega) ** 2", "cos = 1.0 - a2", "hw2 = h * omega ** 2",
+               "den = 1.0 + a2")),
     # Implicit midpoint on the full potential: iterate m <- b + (h^2/4) f(m),
     # b = x + (h/2) v, f = g - w2 x, until successive iterates differ by at
     # most tol on every axis, at most max_iter times (FP_TOL, FP_MAX_ITER,
@@ -222,33 +227,11 @@ _STATEMENTS = {
 }
 
 
-def _constants(sys: OscillatorySystem, method: Method, h: float, substeps: int) -> dict:
-    """The constants the method's statements name, for both dialects:
-    Python floats and ints, and per-axis arrays of shape (d,)."""
-    h = float(h)
-    quarter_h2 = 0.25 * h * h
-    consts = {"h": h, "half": 0.5 * h, "quarter_h2": quarter_h2, "w2": sys.w2}
-    if method is Method.IMEX:
-        consts["den"] = 1.0 + quarter_h2 * sys.w2
-    elif method is Method.MIDPOINT_FULL:
-        consts.update(tol=float(FP_TOL), max_iter=FP_MAX_ITER)
-    elif method is Method.RESPA:
-        dt = h / substeps
-        consts.update(substeps=substeps, dt=dt, half_dt=0.5 * dt, nw2=-sys.w2)
-    elif method is Method.MODIFIED_IMPULSE:
-        a2 = (0.5 * h * sys.omega) ** 2
-        consts.update(cos=1.0 - a2, hw2=h * sys.omega ** 2, den=1.0 + a2)
-    return consts
-
-
 _NAME = re.compile(r"\b[A-Za-z_]\w*")
 _SLOW = re.compile(r"(\w+) = SLOW\((\w+)\)$")
 # ALL(e), e nesting parentheses one deep
 _ALL = re.compile(r"ALL\(((?:[^()]|\([^()]*\))*)\)")
 _PYTHON = re.compile(r"(for|if|else|raise|break)\b")
-_FLOATS = frozenset(("h", "half", "quarter_h2", "dt", "half_dt", "tol"))
-_PER_AXIS = frozenset(("w2", "den", "cos", "hw2", "nw2"))
-_CONSTANTS = _FLOATS | _PER_AXIS | {"max_iter", "substeps"}
 # the numpy function of each operation, called _name in the array dialect
 _UFUNCS = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply", ast.Div: "divide",
            ast.LtE: "less_equal", "abs": "absolute", "isfinite": "isfinite"}
@@ -268,13 +251,27 @@ def _parsed(lines: tuple[str, ...]):
 
 
 @lru_cache(maxsize=None)
-def _names(statements: _Statements) -> tuple[tuple[str, ...], tuple[str, str] | None]:
-    """The constants the statements name, in a fixed order, and the (g, y)
-    of their g = SLOW(y), all alike, or None if there is none."""
+def _names(statements: _Statements) -> tuple[frozenset, CodeType, tuple[str, str] | None]:
+    """The names setup and step use, the consts lines compiled, and the
+    (g, y) of their g = SLOW(y), all alike, or None if there is none."""
     lines = statements.setup + statements.step
     slow = [text for _, kind, text in _parsed(lines) if kind == "slow"]
-    consts = _CONSTANTS.intersection(_NAME.findall("\n".join(lines)))
-    return tuple(sorted(consts)), slow[0] if slow else None
+    code = compile("\n".join(statements.consts), f"<oscint constants: {statements.name}>", "exec")
+    return frozenset(_NAME.findall("\n".join(lines))), code, slow[0] if slow else None
+
+
+def _constants(sys: OscillatorySystem, statements: _Statements, h: float, substeps: int) -> dict:
+    """The constants setup and step name, in sorted order, for both
+    dialects: of the floats h, half, quarter_h2 and tol, the ints substeps
+    and max_iter, the per-axis arrays w2 and omega of shape (d,), and what
+    the consts lines compute from them."""
+    h = float(h)
+    consts = {"h": h, "half": 0.5 * h, "quarter_h2": 0.25 * h * h, "w2": sys.w2,
+              "omega": sys.omega, "substeps": substeps, "tol": float(FP_TOL),
+              "max_iter": FP_MAX_ITER}
+    used, code, _ = _names(statements)
+    exec(code, {}, consts)
+    return {name: consts[name] for name in sorted(used.intersection(consts))}
 
 
 def _scalar_kernel(
@@ -286,16 +283,15 @@ def _scalar_kernel(
     by name, so no user value enters the source and nothing is folded: an
     axis with w2_i = 0 still computes 0.0 * x and keeps its signed zero."""
     d = q.size
-    names, at = _names(statements)
-    g, y = at or ("g", "x")
+    g, y = _names(statements)[2] or ("g", "x")
     emit = getattr(sys.slow_force, "scalar_source", None)
     source = emit and emit([f"{y}{i}" for i in range(d)], [f"{g}{i}" for i in range(d)])
     if source is None:
         return None
     slow, operands = source
-    values = {name: consts[name] for name in names}
-    values.update((name, values[name].tolist()) for name in _PER_AXIS.intersection(values))
-    factory = _factory(statements, d, tuple(slow), names, tuple(operands))
+    per_axis = tuple(name for name, value in consts.items() if isinstance(value, np.ndarray))
+    values = dict(consts, **{name: consts[name].tolist() for name in per_axis})
+    factory = _factory(statements, d, tuple(slow), tuple(consts), per_axis, tuple(operands))
     return factory(q, p, BLOWUP_NORM_CAP, **values, **operands)
 
 
@@ -307,13 +303,12 @@ def _array_kernel(
     and per-axis constant is an array shaped like q: a scalar costs numpy
     a conversion per call, and a call that broadcasts allocates a buffer
     the size of the block."""
-    names, slow = _names(statements)
+    slow = _names(statements)[2]
     shape = q.shape
     # x.x over every element of x, a block's too
     qdot, pdot = (q.dot, p.dot) if q.ndim == 1 else (partial(np.vdot, q), partial(np.vdot, p))
     buffers = {"x": q, "v": p, "qdot": qdot, "pdot": pdot}
-    for name in names:
-        value = consts[name]
+    for name, value in consts.items():
         buffers[name] = value if isinstance(value, int) else _aligned(shape, value)
 
     def buffer(name: str) -> np.ndarray:
@@ -323,7 +318,7 @@ def _array_kernel(
 
     if slow is not None:  # g = SLOW(y), slow being (g, y)
         buffers["SLOW"] = bind_slow_force(sys.slow_force, buffer(slow[1]), buffer(slow[0]))
-    factory = _factory(statements, None, ("SLOW()",), names, ("SLOW",) if slow else ())
+    factory = _factory(statements, None, ("SLOW()",), tuple(consts), (), ("SLOW",) if slow else ())
     return factory(buffer, BLOWUP_NORM_CAP)
 
 
@@ -363,14 +358,15 @@ def _call(text: str, names: dict) -> str:
 
 @lru_cache(maxsize=32)
 def _factory(statements: _Statements, d: int | None, slow: tuple[str, ...],
-             consts: tuple[str, ...], operands: tuple[str, ...]):
+             consts: tuple[str, ...], per_axis: tuple[str, ...], operands: tuple[str, ...]):
     """The compiled generator function of the statements' kernel (see
     Kernel), in the float dialect on d axes (_scalar_kernel) or, d None,
     the array dialect (_array_kernel).  slow is what g = SLOW(y) becomes,
-    consts name the constants and operands the objects slow reads.  The
-    generator runs setup and yields; sent n, it takes up to n steps and
-    yields how many stayed within the cap, no yield inside the try.  Every
-    name is a local of its frame, and Python lines are written as they are.
+    consts name the constants, per_axis the floats' per-axis ones, and
+    operands the objects slow reads.  The generator runs setup and yields;
+    sent n, it takes up to n steps and yields how many stayed within the
+    cap, no yield inside the try.  Every name is a local of its frame, and
+    Python lines are written as they are.
 
     Floats: each statement is written out axis by axis by name
     substitution: vector y becomes y0, y1, ..., per-axis constant c c_0,
@@ -391,9 +387,9 @@ def _factory(statements: _Statements, d: int | None, slow: tuple[str, ...],
 
     def axis_name(match: re.Match) -> str:
         name = match.group()
-        if name in _PER_AXIS:
+        if name in per_axis:
             return name + "_{i}"
-        return name if name in _FLOATS or name in ("abs", "isfinite") else name + "{i}"
+        return name if name in consts or name in ("abs", "isfinite") else name + "{i}"
 
     def each(text: str) -> list[str]:
         template = _NAME.sub(axis_name, text)
@@ -426,7 +422,7 @@ def _factory(statements: _Statements, d: int | None, slow: tuple[str, ...],
             # a memoryview takes an element faster than the array does
             "    q, p, ncap = memoryview(q), memoryview(p), -cap",
             "    " + unpack("x", "q.tolist()"), "    " + unpack("v", "p.tolist()"),
-            *indent(unpack(c + "_", c) for c in consts if c in _PER_AXIS),
+            *indent(unpack(c + "_", c) for c in per_axis),
         ]
         within = " and ".join(f"ncap <= {z}{i} <= cap" for i in range(d) for z in "xv")
         end = ["finally:", *indent(f"{b}[{i}] = {z}{i}" for b, z in ("qx", "pv") for i in range(d))]
@@ -466,10 +462,12 @@ def _factory(statements: _Statements, d: int | None, slow: tuple[str, ...],
     return namespace[factory]
 
 
-def _bind(sys: OscillatorySystem, statements: _Statements, consts: dict,
+def _bind(sys: OscillatorySystem, statements: _Statements, h: float, substeps: int,
           q: np.ndarray, p: np.ndarray) -> Kernel:
-    """The statements' kernel bound to q and p, in floats where it can be:
-    its generator's send, primed by running setup to the first yield."""
+    """The statements' kernel on their constants (_constants) bound to q
+    and p, in floats where it can be: its generator's send, primed by
+    running setup to the first yield."""
+    consts = _constants(sys, statements, h, substeps)
     kernel = (q.ndim == 1 and q.size <= SCALAR_MAX_D
               and _scalar_kernel(sys, statements, consts, q, p)
               or _array_kernel(sys, statements, consts, q, p))
@@ -482,7 +480,7 @@ def _kernel(
     substeps: int = 1,
 ) -> Kernel:
     """The method's kernel bound to q and p; substeps is read by RESPA only."""
-    return _bind(sys, _STATEMENTS[method], _constants(sys, method, h, substeps), q, p)
+    return _bind(sys, _STATEMENTS[method], h, substeps, q, p)
 
 
 def _state_buffers(sys: OscillatorySystem, state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -528,9 +526,8 @@ def kick_slow(sys: OscillatorySystem, state: State, dt: float) -> State:
 
 def step_midpoint_fast(sys: OscillatorySystem, state: State, h: float) -> State:
     """Implicit midpoint step of the fast quadratic part only: IMEX's stiff
-    flow (_STIFF_MIDPOINT) alone, on IMEX's constants."""
-    consts = _constants(sys, Method.IMEX, h, 1)
-    return _state_step(sys, partial(_bind, sys, _FAST_MIDPOINT, consts), state, h)
+    flow (_FAST_MIDPOINT) alone."""
+    return _state_step(sys, partial(_bind, sys, _FAST_MIDPOINT, h, 1), state, h)
 
 
 def step_imex(sys: OscillatorySystem, state: State, h: float) -> State:

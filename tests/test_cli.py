@@ -262,6 +262,12 @@ class TestConvergence:
         assert proc.returncode == 0, proc.stderr
         assert "method=sv order=" in proc.stdout
 
+    def test_end_between_coarse_steps_in_range(self):
+        # every level runs to the next whole coarse step, t = 0.1
+        proc = run_cli("convergence", "--t-end", "0.05")
+        assert proc.returncode == 0, proc.stdout
+        assert proc.stdout.count(" order=") == 3
+
     def test_blowup_fails_check(self):
         proc = run_cli("convergence", "--method", "midpoint-full", "--h", "1.0")
         assert proc.returncode == 3

@@ -266,6 +266,14 @@ class TestConvergenceStudy:
         # halving h roughly quarters the error for a second-order method
         assert row.errors[0] / row.errors[1] == pytest.approx(4.0, rel=0.3)
 
+    @pytest.mark.parametrize("t_end,whole", [(0.05, 0.1), (0.15, 0.2)])
+    def test_levels_end_at_whole_coarse_steps(self, t_end, whole):
+        # a t_end between coarse steps runs every level to the next whole
+        # one, each the same number of its own steps as for that end
+        got, want = (convergence_study(t_end=t) for t in (t_end, whole))
+        assert [row.errors for row in got] == [row.errors for row in want]
+        assert all(1.9 <= row.order <= 2.1 for row in got)
+
     def test_blowup_marks_row(self):
         # the fixed point diverges at the coarsest level only
         rows = convergence_study(methods=(Method.MIDPOINT_FULL,), h=1.0, t_end=2.0, levels=2)

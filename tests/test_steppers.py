@@ -937,3 +937,38 @@ class TestFloatKernels:
         assert bound(coupled_oscillator_build(np.full(d + 1, 2.0)), d + 1) == "_array_kernel"
         assert bound(fpu_build(FpuParams(d // 2, 50.0)), d // 2 * 2) == "_scalar_kernel"
         assert bound(fpu_build(FpuParams(d // 2 + 1, 50.0)), d // 2 * 2 + 2) == "_array_kernel"
+
+
+class TestDeclaredMethod:
+    def test_a_method_is_one_declaration(self):
+        # A method declared here, its constants beside its statements: third
+        # a float (from h alone), den per-axis (from w2).  On the ell = 3
+        # lattice, whose soft and stiff axes have different w2, the float
+        # kernel on one state and the array kernel on a block of that one
+        # state take the same 300 steps bit for bit, each axis on its own den.
+        statements = steppers._splitting("declared", (
+            "x = (x + third * v) / den",
+            "v = v - third * (w2 * x)",
+        ), consts=("third = h / 3.0", "den = 1.0 + third * third * w2"))
+        sys_ = fpu_build(FpuParams(3, 50.0))
+        start = fpu_initial_state(sys_)
+
+        def run(shape):
+            q, p = start.q.reshape(shape).copy(), start.p.reshape(shape).copy()
+            kernel = steppers._bind(sys_, statements, 0.01, 1, q, p)
+            states = []
+            for _ in range(300):
+                assert kernel(1) == 1
+                states.append(np.concatenate([q.ravel(), p.ravel()]))
+            return kernel, np.array(states)
+
+        (floats, got), (arrays, want) = run(6), run((1, 6))
+        assert (_dialect(floats), _dialect(arrays)) == ("_scalar_kernel", "_array_kernel")
+        _assert_same_bits(got, want)
+        assert np.abs(got).max() < 10.0
+        third = 0.01 / 3.0
+        scalars = floats.__self__.gi_frame.f_locals
+        den = arrays.__self__.gi_frame.f_locals["den"]
+        assert scalars["third"] == third
+        assert [scalars[f"den_{i}"] for i in range(6)] == den.ravel().tolist()
+        assert den[0, 0] == 1.0 and den[0, 3] == 1.0 + third * third * 2500.0

@@ -10,13 +10,15 @@ command's outputs are its exit code, stdout, stderr and the bytes of every
 file it leaves in that directory (its CSV).  One line per command says
 "same" or names what differs; the exit status is 1 if anything differs.
 
-The commands fix every argument: fpu-exchange at its defaults and at the
-exchange-small benchmark's arguments (omega 47.3), IMEX and modified
-impulse on the ell=1000 lattice at the lattice-large benchmark's h and
-stride, resonance-sweep and convergence at their defaults, RESPA on the
-ell=1000 and ell=3 lattices, midpoint-full on the ell=3 lattice, three
-runs that blow up (midpoint-full's NoConvergence and Stormer-Verlet on the
-model, IMEX at h = 0.6 on the lattice).
+The commands fix every argument, and between them run every method's
+kernel in both dialects, floats (d <= 16) and arrays: fpu-exchange at its
+defaults and at the exchange-small benchmark's arguments (omega 47.3),
+IMEX and modified impulse on the ell=1000 lattice at the lattice-large
+benchmark's h and stride, short Stormer-Verlet and midpoint-full runs on
+it, resonance-sweep and convergence at their defaults, RESPA on the
+ell=1000 and ell=3 lattices, midpoint-full and modified impulse on the
+ell=3 lattice, three runs that blow up (midpoint-full's NoConvergence and
+Stormer-Verlet on the model, IMEX at h = 0.6 on the lattice).
 """
 from __future__ import annotations
 
@@ -38,6 +40,11 @@ COMMANDS = {
                                 "--out", "out.csv"],
     "integrate modified-impulse ell=1000": ["integrate", "--method", "modified-impulse",
                                             *LATTICE_LARGE, "--out", "out.csv"],
+    "integrate sv ell=1000": ["integrate", "--system", "fpu", "--ell", "1000", "--method", "sv",
+                              "--h", "0.01", "--t-end", "0.2", "--out", "out.csv"],
+    "integrate midpoint-full ell=1000": [
+        "integrate", "--system", "fpu", "--ell", "1000", "--method", "midpoint-full", "--h",
+        "0.01", "--t-end", "0.2", "--out", "out.csv"],
     "resonance-sweep defaults": ["resonance-sweep", "--out", "out.csv"],
     "convergence defaults": ["convergence"],
     "integrate respa ell=1000": ["integrate", "--method", "respa", "--substeps", "5",
@@ -48,6 +55,9 @@ COMMANDS = {
     "integrate midpoint-full ell=3": [
         "integrate", "--system", "fpu", "--method", "midpoint-full", "--h", "0.01",
         "--t-end", "2.0", "--stride", "1", "--out", "out.csv"],
+    "integrate modified-impulse ell=3": [
+        "integrate", "--system", "fpu", "--ell", "3", "--method", "modified-impulse", "--h",
+        "0.01", "--t-end", "10.0", "--stride", "13", "--out", "out.csv"],
     "integrate midpoint-full model no-convergence": [
         "integrate", "--system", "model", "--method", "midpoint-full", "--h", "0.05",
         "--omega", "50.0", "--t-end", "10.0", "--stride", "7", "--out", "out.csv"],
