@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 configuration or file errors, 2 blow-up (of the
 run, or of fpu-exchange's reference), 3 a requested acceptance check
 failed.  Floats are serialized with %.17g (round-trip exact), so identical
 configurations give byte-identical files.
+
+A CSV's first # line records the command and the options that shape its
+data: integrate system method h t_end stride omega, then ell or q0 p0;
+resonance-sweep h t_end substeps grid max; fpu-exchange method h t_end ell
+omega stride window; substeps on a RESPA run; then how the run stopped.
+--out's directory is checked before any work.
 """
 from __future__ import annotations
 
@@ -26,14 +32,10 @@ EXIT_CHECK_FAILED = 3
 ORDER_RANGE = (1.9, 2.1)
 
 
-class _ConfigError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 by default, which collides with the blow-up code
     def error(self, message):
-        raise _ConfigError(message)
+        raise ValueError(message)
 
 
 def _fmt(value) -> str:
@@ -53,12 +55,24 @@ def _rows(columns: list) -> list[str]:
     return [row_format % tuple(row.tolist()) for row in block]
 
 
-def _meta_line(pairs: dict) -> str:
+def _meta_line(args, keys: tuple[str, ...], /, **more) -> str:
+    """The # line: the subcommand, each option in keys (by its dest, t_end
+    for --t-end) with its value, then the pairs in more."""
+    pairs = {"command": args.command, **{key: getattr(args, key) for key in keys}, **more}
     return "# " + " ".join(f"{key}={_fmt(value)}" for key, value in pairs.items())
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _out_path(path: str) -> str:
+    """--out's path; raises now, before any work, what writing to a missing directory would."""
+    try:
+        Path(path).parent.stat()
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    return path
 
 
 def _stop_meta(traj: Trajectory) -> dict:
@@ -69,18 +83,6 @@ def _stop_meta(traj: Trajectory) -> dict:
         meta["t_blowup"] = traj.t_blowup
         meta["blowup_cause"] = "_".join(traj.blowup_cause.split())
     return meta
-
-
-def _trajectory_lines(traj: Trajectory, meta: dict) -> list[str]:
-    meta = {**meta, **_stop_meta(traj)}
-    d = traj.qs.shape[1]
-    header = ["t", _names("q", d), _names("p", d), "H"]
-    columns = [traj.times, traj.qs, traj.ps, traj.energies]
-    if traj.stiff is not None:
-        names, stiff_columns = _stiff_columns(traj.stiff)
-        header.append(names)
-        columns += stiff_columns
-    return [_meta_line(meta), ",".join(header), *_rows(columns)]
 
 
 def _names(prefix: str, n: int) -> str:
@@ -94,89 +96,56 @@ def _stiff_columns(stiff: np.ndarray) -> tuple[str, list[np.ndarray]]:
     return _names("I", stiff.shape[1]) + ",I_total", [stiff, stiff.sum(axis=1)]
 
 
-def _build_system(args):
-    if args.system == "model":
-        return coupled_oscillator_build(args.omega)
-    return fpu_build(FpuParams(args.ell, args.omega))
-
-
 def cmd_integrate(args) -> int:
-    sys_ = _build_system(args)
+    keys = ("system", "method", "h", "t_end", "stride", "omega")
     if args.system == "model":
+        sys_ = coupled_oscillator_build(args.omega)
         state0 = State(0.0, [args.q0], [args.p0])
+        keys += ("q0", "p0")
     else:
+        sys_ = fpu_build(FpuParams(args.ell, args.omega))
         state0 = fpu_initial_state(sys_)
+        keys += ("ell",)
+    # RESPA is the one method that reads substeps
+    respa = ("substeps",) if args.method == "respa" else ()
     spec = StepperSpec(method=args.method, h=args.h, substeps=args.substeps)
     traj = integrate(sys_, spec, state0, args.t_end, stride=args.stride)
-    meta = {
-        "command": "integrate",
-        "system": args.system,
-        "method": args.method,
-        "h": args.h,
-        "t_end": args.t_end,
-        "stride": args.stride,
-        "omega": args.omega,
-    }
-    if args.system == "fpu":
-        meta["ell"] = args.ell
-    _write_lines(args.out, _trajectory_lines(traj, meta))
+    d = traj.qs.shape[1]
+    header = ["t", _names("q", d), _names("p", d), "H"]
+    columns = [traj.times, traj.qs, traj.ps, traj.energies]
+    if traj.stiff is not None:
+        names, stiff_columns = _stiff_columns(traj.stiff)
+        header.append(names)
+        columns += stiff_columns
+    meta = _meta_line(args, keys + respa, **_stop_meta(traj))
+    _write_lines(args.out, [meta, ",".join(header), *_rows(columns)])
     return EXIT_OK if traj.completed else EXIT_BLOWUP
 
 
 def cmd_resonance_sweep(args) -> int:
-    rows = resonance_sweep(
-        h=args.h,
-        t_end=args.t_end,
-        substeps=args.substeps,
-        grid=args.grid,
-        sweep_max=args.max,
-    )
-    meta = {
-        "command": "resonance-sweep",
-        "h": args.h,
-        "t_end": args.t_end,
-        "substeps": args.substeps,
-        "grid": args.grid,
-        "max": args.max,
-    }
+    # resonance_sweep's parameters, in order (sweep_max is --max)
+    keys = ("h", "t_end", "substeps", "grid", "max")
+    rows = resonance_sweep(*(getattr(args, key) for key in keys))
     table = [(row.omega_h_over_pi, row.omega, row.err_respa, row.err_imex) for row in rows]
-    lines = [_meta_line(meta), "omega_h_over_pi,omega,err_respa,err_imex", *_rows([table])]
+    lines = [_meta_line(args, keys), "omega_h_over_pi,omega,err_respa,err_imex", *_rows([table])]
     _write_lines(args.out, lines)
     return EXIT_OK
 
 
 def cmd_fpu_exchange(args) -> int:
-    result = fpu_exchange(
-        method=Method(args.method),
-        h=args.h,
-        t_end=args.t_end,
-        ell=args.ell,
-        omega=args.omega,
-        reference_h=args.reference_h,
-        stride=args.stride,
-        window=args.window,
-        substeps=args.substeps,
-    )
+    keys = ("method", "h", "t_end", "ell", "omega", "stride", "window")
+    result = fpu_exchange(**{key: getattr(args, key) for key in (*keys, "reference_h", "substeps")})
     traj = result.trajectory
-    meta = {
-        "command": "fpu-exchange",
-        "method": args.method,
-        "h": args.h,
-        "t_end": args.t_end,
-        "ell": args.ell,
-        "omega": args.omega,
-        "stride": args.stride,
-        "window": args.window,
-        **_stop_meta(traj),
-    }
+    stops = _stop_meta(traj)
     if args.reference_h is not None:
-        meta["reference_h"] = args.reference_h
+        stops["reference_h"] = args.reference_h
     reference = result.reference
     reference_stopped = reference is not None and not reference.completed
     if reference_stopped:
-        meta.update((f"reference_{key}", value) for key, value in _stop_meta(reference).items())
+        stops.update((f"reference_{key}", value) for key, value in _stop_meta(reference).items())
+    respa = ("substeps",) if args.method == "respa" else ()
     names, stiff_columns = _stiff_columns(traj.stiff)
-    lines = [_meta_line(meta), f"t,{names},H",
+    lines = [_meta_line(args, keys + respa, **stops), f"t,{names},H",
              *_rows([traj.times, *stiff_columns, traj.energies])]
     if result.sup_diffs is not None:
         pairs = " ".join(f"I_{j + 1}={_fmt(float(v))}" for j, v in enumerate(result.sup_diffs))
@@ -188,10 +157,8 @@ def cmd_fpu_exchange(args) -> int:
 def cmd_convergence(args) -> int:
     methods = {} if args.method is None else {"methods": (Method(args.method),)}
     rows = convergence_study(h=args.h, t_end=args.t_end, omega=args.omega, **methods)
-    ok = True
-    for row in rows:
-        ok &= _print_convergence_row(row)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    in_range = [_print_convergence_row(row) for row in rows]
+    return EXIT_OK if all(in_range) else EXIT_CHECK_FAILED
 
 
 def _print_convergence_row(row: ConvergenceRow) -> bool:
@@ -202,6 +169,12 @@ def _print_convergence_row(row: ConvergenceRow) -> bool:
     errs = " ".join(f"err(h={_fmt(h)})={_fmt(e)}" for h, e in zip(row.hs, row.errors))
     print(f"method={row.method.value} order={row.order:.4f} {errs}")
     return in_range
+
+
+def _options(parser: _Parser, **defaults) -> None:
+    """One option per keyword, --t-end for t_end, typed by its default."""
+    for name, default in defaults.items():
+        parser.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
 
 @functools.cache
@@ -218,11 +191,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--method", choices=methods, required=True)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--omega", type=float, default=50.0)
-    p.add_argument("--ell", type=int, default=3)
-    p.add_argument("--substeps", type=int, default=100)
+    p.add_argument("--out", type=_out_path, required=True)
+    _options(p, stride=1, omega=50.0, ell=3, substeps=100)
     p.add_argument("--q0", type=float, default=1.0, help="model-system start position")
     p.add_argument("--p0", type=float, default=0.0, help="model-system start momentum")
     p.set_defaults(func=cmd_integrate)
@@ -230,31 +200,20 @@ def _build_parser() -> _Parser:
     p = sub.add_parser(
         "resonance-sweep", help="impulse vs IMEX max energy error across stiff frequencies"
     )
-    p.add_argument("--h", type=float, default=0.1)
-    p.add_argument("--t-end", type=float, default=1000.0)
-    p.add_argument("--substeps", type=int, default=100)
-    p.add_argument("--grid", type=float, default=0.01)
-    p.add_argument("--max", type=float, default=4.5)
-    p.add_argument("--out", required=True)
+    _options(p, h=0.1, t_end=1000.0, substeps=100, grid=0.01, max=4.5)
+    p.add_argument("--out", type=_out_path, required=True)
     p.set_defaults(func=cmd_resonance_sweep)
 
     p = sub.add_parser("fpu-exchange", help="stiff-spring energy exchange on the lattice")
     p.add_argument("--method", choices=methods, default="imex")
-    p.add_argument("--h", type=float, default=0.03)
-    p.add_argument("--t-end", type=float, default=200.0)
-    p.add_argument("--ell", type=int, default=3)
-    p.add_argument("--omega", type=float, default=50.0)
+    _options(p, h=0.03, t_end=200.0, ell=3, omega=50.0)
     p.add_argument("--reference-h", type=float, default=None)
-    p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--window", type=float, default=1.0)
-    p.add_argument("--substeps", type=int, default=100)
-    p.add_argument("--out", required=True)
+    _options(p, stride=1, window=1.0, substeps=100)
+    p.add_argument("--out", type=_out_path, required=True)
     p.set_defaults(func=cmd_fpu_exchange)
 
     p = sub.add_parser("convergence", help="measured order against the closed-form model solution")
-    p.add_argument("--h", type=float, default=0.1)
-    p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--omega", type=float, default=2.0)
+    _options(p, h=0.1, t_end=10.0, omega=2.0)
     p.add_argument("--method", choices=methods, default=None)
     p.set_defaults(func=cmd_convergence)
 
@@ -266,7 +225,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_ConfigError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"oscint: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

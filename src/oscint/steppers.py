@@ -134,7 +134,7 @@ class StepperSpec:
 @dataclass(frozen=True)
 class _Statements:
     """One method in vector notation.  consts, lines name = expression in
-    the base constants (_constants) and earlier lines' names, runs when
+    the base constants (_base_constants) and earlier lines' names, runs when
     the kernel is bound; a constant is per-axis when its value is an
     array, else a float or an int.  Then setup runs once and step once per
     step; in them x and v stand for q and p, and any other name is a
@@ -250,28 +250,39 @@ def _parsed(lines: tuple[str, ...]):
             yield pad, "python" if _PYTHON.match(text) or "ALL(" in text else "vector", text
 
 
+def _base_constants(h: float, w2, omega, substeps) -> dict:
+    """The constants every method may name: the floats h, half, quarter_h2
+    and tol, the ints substeps and max_iter, and w2 and omega, per-axis
+    arrays of shape (d,) when bound."""
+    return {"h": h, "half": 0.5 * h, "quarter_h2": 0.25 * h * h, "w2": w2, "omega": omega,
+            "substeps": substeps, "tol": float(FP_TOL), "max_iter": FP_MAX_ITER}
+
+
 @lru_cache(maxsize=None)
-def _names(statements: _Statements) -> tuple[frozenset, CodeType, tuple[str, str] | None]:
-    """The names setup and step use, the consts lines compiled, and the
+def _names(statements: _Statements) -> tuple[tuple[str, ...], CodeType | None,
+                                             tuple[str, str] | None]:
+    """The constants setup and step name (base ones and the consts lines'),
+    sorted; the consts lines compiled, or None if there are none; and the
     (g, y) of their g = SLOW(y), all alike, or None if there is none."""
     lines = statements.setup + statements.step
     slow = [text for _, kind, text in _parsed(lines) if kind == "slow"]
-    code = compile("\n".join(statements.consts), f"<oscint constants: {statements.name}>", "exec")
-    return frozenset(_NAME.findall("\n".join(lines))), code, slow[0] if slow else None
+    base = _base_constants(1.0, None, None, 1)
+    declared = {*base, *(_NAME.match(line).group() for line in statements.consts)}
+    bound = tuple(sorted(declared.intersection(_NAME.findall("\n".join(lines)))))
+    code = compile("\n".join(statements.consts), f"<oscint constants: {statements.name}>",
+                   "exec") if statements.consts else None
+    return bound, code, slow[0] if slow else None
 
 
 def _constants(sys: OscillatorySystem, statements: _Statements, h: float, substeps: int) -> dict:
     """The constants setup and step name, in sorted order, for both
-    dialects: of the floats h, half, quarter_h2 and tol, the ints substeps
-    and max_iter, the per-axis arrays w2 and omega of shape (d,), and what
-    the consts lines compute from them."""
-    h = float(h)
-    consts = {"h": h, "half": 0.5 * h, "quarter_h2": 0.25 * h * h, "w2": sys.w2,
-              "omega": sys.omega, "substeps": substeps, "tol": float(FP_TOL),
-              "max_iter": FP_MAX_ITER}
-    used, code, _ = _names(statements)
-    exec(code, {}, consts)
-    return {name: consts[name] for name in sorted(used.intersection(consts))}
+    dialects: of the base ones (_base_constants) and what the consts lines
+    compute from them."""
+    consts = _base_constants(float(h), sys.w2, sys.omega, substeps)
+    bound, code, _ = _names(statements)
+    if code is not None:
+        exec(code, {}, consts)
+    return {name: consts[name] for name in bound}
 
 
 def _scalar_kernel(

@@ -4,6 +4,7 @@ and a property test of main().
 The commands run main(argv) in process (run_cli); a subprocess runs where a
 process is the subject: the import guard, and the work bounds, whose
 `python -m oscint` runs also cover the module entry point."""
+import argparse
 import io
 import math
 import os
@@ -254,6 +255,78 @@ class TestFpuExchange:
         assert proc.returncode == 1
         assert proc.stderr.startswith("oscint: error: window")
         assert not out.exists()
+
+
+# A small run of each CSV-writing shape, and for each of its subcommand's
+# options but --out another value, appended so that it overrides the base's.
+META_BASES = {
+    "integrate-model": ("integrate", "--system", "model", "--method", "respa", "--h", "0.1",
+                        "--t-end", "0.5"),
+    "integrate-fpu": ("integrate", "--system", "fpu", "--method", "respa", "--h", "0.1",
+                      "--t-end", "0.5"),
+    "resonance-sweep": ("resonance-sweep", "--grid", "0.5", "--max", "1.0", "--t-end", "5.0"),
+    "fpu-exchange": ("fpu-exchange", "--method", "respa", "--h", "0.1", "--t-end", "0.5",
+                     "--substeps", "10"),
+}
+OTHER_VALUES = {
+    "integrate": {"--system": "fpu", "--method": "imex", "--h": "0.05", "--t-end": "0.3",
+                  "--stride": "2", "--omega": "20", "--ell": "2", "--substeps": "7",
+                  "--q0": "0.5", "--p0": "0.25"},
+    "resonance-sweep": {"--h": "0.2", "--t-end": "3.0", "--substeps": "7", "--grid": "0.25",
+                        "--max": "0.5"},
+    "fpu-exchange": {"--method": "imex", "--h": "0.05", "--t-end": "0.3", "--ell": "2",
+                     "--omega": "20", "--reference-h": "0.01", "--stride": "2",
+                     "--window": "0.5", "--substeps": "7"},
+}
+
+
+def _subcommand_options(command):
+    """The subcommand's long options, --out and --help aside."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for action in sub.choices[command]._actions for flag in action.option_strings}
+    return {flag for flag in flags if flag.startswith("--")} - {"--out", "--help"}
+
+
+class TestMetaLine:
+    @pytest.mark.parametrize("base", list(META_BASES))
+    def test_an_option_that_changes_the_data_changes_the_meta_line(self, tmp_path, base):
+        # the # line must tell two runs apart whenever their data differ
+        argv = META_BASES[base]
+        others = OTHER_VALUES[argv[0]]
+        assert set(others) == _subcommand_options(argv[0])
+
+        def run(name, *extra):
+            out = tmp_path / f"{name}.csv"
+            assert run_cli(*argv, *extra, "--out", str(out)).returncode == 0
+            lines = out.read_text().splitlines()
+            return lines[0], [line for line in lines if not line.startswith("#")]
+
+        meta, body = run("base")
+        missed = []
+        for flag, value in others.items():
+            other_meta, other_body = run(flag.lstrip("-"), f"{flag}={value}")
+            if other_body != body and other_meta == meta:
+                missed.append(flag)
+        assert missed == []
+
+    @pytest.mark.parametrize("args, work", [
+        (("integrate", "--system", "fpu", "--method", "imex", "--h", "1e-5", "--t-end", "20"),
+         "integrate"),
+        (("resonance-sweep",), "resonance_sweep"),
+        (("fpu-exchange", "--reference-h", "0.001"), "fpu_exchange"),
+    ], ids=["integrate", "resonance-sweep", "fpu-exchange"])
+    def test_missing_out_directory_fails_before_any_work(self, tmp_path, monkeypatch, args, work):
+        # the error is the one writing the CSV would raise, but it comes
+        # before the run, which here would take seconds to minutes
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(f"oscint.cli.{work}", never)
+        out = tmp_path / "missing-dir" / "x.csv"
+        proc = run_cli(*args, "--out", str(out))
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == f"oscint: error: [Errno 2] No such file or directory: '{out}'\n"
+        assert not out.parent.exists()
 
 
 class TestConvergence:
