@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,12 @@ EXIT_CHECK_FAILED = 3
 
 ORDER_RANGE = (1.9, 2.1)
 
+# Least share of +0.0 cells at which _rows formats a block sparsely.  On
+# random blocks of 5 to 5003 columns, in medians of 15 interleaved
+# repeats, the sparse path took 0.16-0.47x the dense path's time at 99.5%
+# zeros, 0.78-0.86x at 80%, 0.92-0.96x at 70% and 1.00-1.06x at 60%.
+_SPARSE_ZEROS = 0.8
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 by default, which collides with the blow-up code
@@ -45,14 +53,39 @@ def _fmt(value) -> str:
 
 
 def _rows(columns: list) -> list[str]:
-    """CSV rows of float columns (vectors or 2-D blocks of equal length):
-    the columns are stacked into one block and each row is formatted by
-    one %-format string, whose %.17g matches _fmt's format(x, ".17g").
-    Rows are converted to Python floats one at a time; converting the
-    whole block at once raised the exchange run's peak RSS by ~0.25 MB."""
+    """CSV rows of float columns (vectors or 2-D blocks of equal length),
+    each field as _fmt's format(x, ".17g") writes it.
+
+    The columns are stacked into one block.  A block whose share of +0.0
+    cells is at least _SPARSE_ZEROS goes to _sparse_rows; any other has
+    each row formatted by one %-format string.  Rows are converted to
+    Python floats one at a time; converting the whole block at once raised
+    the exchange run's peak RSS by ~0.25 MB."""
     block = np.column_stack(columns)
+    # the +0.0 cells are those whose bits are all zero
+    if block.size - np.count_nonzero(block.view(np.int64)) >= _SPARSE_ZEROS * block.size:
+        return _sparse_rows(block)
     row_format = ",".join(["%.17g"] * block.shape[1])
     return [row_format % tuple(row.tolist()) for row in block]
+
+
+def _sparse_rows(block: np.ndarray) -> list[str]:
+    """_rows of a block of mostly +0.0 cells: each row starts as "0" in
+    every field, and only the other cells (-0.0 among them) are formatted,
+    one %.17g each.  Besides one row, it holds the column and the value of
+    each of those cells, never a float per cell of the block."""
+    n_rows, n = block.shape
+    flat = block.reshape(-1)
+    at = np.flatnonzero(flat.view(np.int64))
+    per_row = np.bincount(at // n, minlength=n_rows).tolist()
+    cells = zip((at % n).tolist(), flat[at].tolist())
+    rows = []
+    for count in per_row:
+        row = ["0"] * n
+        for column, value in islice(cells, count):
+            row[column] = "%.17g" % value
+        rows.append(",".join(row))
+    return rows
 
 
 def _meta_line(args, keys: tuple[str, ...], /, **more) -> str:
@@ -67,9 +100,11 @@ def _write_lines(path: str, lines: list[str]) -> None:
 
 
 def _out_path(path: str) -> str:
-    """--out's path; raises now, before any work, what writing to a missing directory would."""
+    """--out's path; raises now, before any work, what writing into a
+    directory that is missing or is a file would.  The trailing separator
+    makes stat fail on a file as open does (ENOTDIR)."""
     try:
-        Path(path).parent.stat()
+        os.stat(os.path.join(Path(path).parent, ""))
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     return path

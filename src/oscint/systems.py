@@ -20,6 +20,13 @@ scratch, like every buffer the steppers' kernels bind, comes from
 _aligned and starts on a 64-byte boundary: numpy aligns its own
 buffers to 16 bytes only, and its AVX-512 loops split every store into a
 buffer that is not 64-byte aligned.
+
+The lattice force cubes its stretches with numpy's power, whose cost per
+element depends on the base: numpy's vectorized loop sends a zero to a
+scalar routine at about four times a positive base's cost.  The canonical
+start leaves most springs of a wide lattice exactly unstretched for
+hundreds of time units, so the bound lattice force cubes only the nonzero
+stretches; every zero keeps its sign, as pow(+-0, 3) = +-0 would give it.
 """
 from __future__ import annotations
 
@@ -36,6 +43,7 @@ _SQRT2 = math.sqrt(2.0)
 
 # the ufuncs of the bound forces' calls
 _add, _subtract, _negative, _power = np.add, np.subtract, np.negative, np.power
+_not_equal = np.not_equal
 
 # Alignment of the kernels' buffers (_aligned): one cache line, and the
 # width of an AVX-512 vector.  np.add on 2000 doubles into a buffer so
@@ -189,7 +197,11 @@ class SlowForce:
         (the default): no scalar source.
 
         The statements do bind's operations, in its order, one axis at a
-        time; Python rounds + - * / and sign flips as numpy does.  They
+        time; Python rounds + - * / and sign flips as numpy does.  An
+        operation that bind skips where its result is known may run
+        here: the lattice force's source cubes every stretch, zeros too,
+        since a short state's few stretches are nonzero after the first
+        step and a mask would add a call to every step.  They
         depend on the names alone, never on a value, so a kernel's source
         is a function of the method, d and the force's class; the objects
         (buffers, ufuncs) are made fresh at each call.  Names of their own
@@ -283,17 +295,21 @@ class _FpuSlowForce(SlowForce):
     def bind(self, x, out):
         ell = self.ell
         c = _aligned(x.shape[:-1] + (ell + 1,))
-        # the exponent as an array, not the scalar 3: np.power gives the
-        # same cubes (bit for bit, tests/test_oracle.py) without numpy's
-        # per-call scalar conversion
-        three = _aligned(c.shape, 3.0)
+        # the exponent and zero as arrays, not the scalars 3 and 0: np.power
+        # gives the same cubes (bit for bit, tests/test_oracle.py) without
+        # numpy's per-call scalar conversion
+        three, zero = _aligned(c.shape, 3.0), _aligned(c.shape, 0.0)
+        nonzero = _aligned(c.shape, dtype=bool)
         stretches = _bind_stretches(x, ell, c)
         c_head, c_tail = c[..., :-1], c[..., 1:]
         g0, g1 = out[..., :ell], out[..., ell:]
 
         def force():
             stretches()
-            _power(c, three, c)
+            # the nonzero stretches alone are cubed (see the module
+            # docstring); a masked-out +-0 keeps its sign, as pow would
+            _not_equal(c, zero, nonzero)
+            _power(c, three, c, where=nonzero)
             _subtract(c_tail, c_head, g0)
             _add(c_head, c_tail, g1)
 

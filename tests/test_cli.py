@@ -317,7 +317,8 @@ class TestMetaLine:
     ], ids=["integrate", "resonance-sweep", "fpu-exchange"])
     def test_missing_out_directory_fails_before_any_work(self, tmp_path, monkeypatch, args, work):
         # the error is the one writing the CSV would raise, but it comes
-        # before the run, which here would take seconds to minutes
+        # before the run, which here would take seconds to minutes; the
+        # directory is missing, or is an ordinary file
         def never(*args, **kwargs):
             raise AssertionError(f"{work} ran")
 
@@ -327,6 +328,12 @@ class TestMetaLine:
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr == f"oscint: error: [Errno 2] No such file or directory: '{out}'\n"
         assert not out.parent.exists()
+
+        out.parent.write_text("")
+        proc = run_cli(*args, "--out", str(out))
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == f"oscint: error: [Errno 20] Not a directory: '{out}'\n"
+        assert out.parent.read_text() == ""
 
 
 class TestConvergence:
@@ -441,6 +448,35 @@ def test_csv_rows_match_per_value_format():
     block = np.concatenate([special, randoms[: 6000 - len(special)]]).reshape(-1, 3)
     want = [",".join(_fmt(float(v)) for v in row) for row in block]
     assert _rows([block[:, 0], block[:, 1:]]) == want
+
+
+@pytest.mark.parametrize("shape", [(20, 5), (3, 401)])
+def test_sparse_csv_rows_match_per_value_format(monkeypatch, shape):
+    # a block of mostly +0.0 cells is written without formatting its +0.0
+    # cells; every field must still read as "%.17g" % v, in blocks one +0.0
+    # cell either side of the share that picks that path
+    from oscint import cli
+
+    sparse_rows, calls = cli._sparse_rows, []
+
+    def spy(block):
+        calls.append(block.shape)
+        return sparse_rows(block)
+
+    monkeypatch.setattr(cli, "_sparse_rows", spy)
+    special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308, -2.5, -1e-300,
+               0.1, -7.0, 123456789.0]
+    rng = np.random.default_rng(shape[1])
+    size = math.prod(shape)
+    least = math.ceil(cli._SPARSE_ZEROS * size)
+    for zeros, sparse in ((least, True), (least - 1, False)):
+        block = np.zeros(size)
+        block[rng.permutation(size)[zeros:]] = rng.choice(special, size - zeros)
+        block = block.reshape(shape)
+        want = [",".join("%.17g" % v for v in row) for row in block.tolist()]
+        calls.clear()
+        assert cli._rows([block[:, 0], block[:, 1:]]) == want
+        assert calls == ([shape] if sparse else [])
 
 
 # Each numeric flag is a special value or a draw from a small valid range.

@@ -228,6 +228,18 @@ def frozen_fpu_slow_force(ell):
     return slow_force
 
 
+def frozen_unmasked_fpu_slow_force(ell):
+    """The lattice slow force as bound before it cubed only the nonzero
+    stretches: np.power, with an exponent array, on every stretch."""
+
+    def slow_force(x):
+        s = frozen_fpu_stretches(x, ell)
+        c = np.power(s, np.full(s.shape, 3.0))
+        return np.concatenate((c[..., 1:] - c[..., :-1], c[..., :-1] + c[..., 1:]), axis=-1)
+
+    return slow_force
+
+
 def frozen_model_slow_force(q):
     return -np.asarray(q, dtype=float)
 
@@ -489,6 +501,45 @@ def test_bound_fpu_force_matches_frozen_force_bit_for_bit(ell):
         x[:] = rng.standard_normal(2 * ell)
         force()
         assert np.array_equal(out, want_force(x))
+
+
+# stretch kinds: zeros of both signs, cubes that underflow to +-0 or to a
+# subnormal, cubes that overflow, NaN and infinities
+STRETCH_KINDS = np.array([0.0, -0.0, 1.5, -1.5, 1e-110, -1e-110, 1e-105, -1e-105, 1e300,
+                          -1e300, 1e-300, np.nan, np.inf, -np.inf])
+
+
+@pytest.mark.parametrize("ell", [1, 4, 1000])
+def test_bound_fpu_force_cubes_nonzero_stretches_as_unmasked_power(ell):
+    # the bound force cubes its nonzero stretches alone: each +-0 it skips
+    # must keep its sign, every other stretch must cube as np.power did
+    # (the sign reaches the force from ell = 2 on: at ell = 1, s_1 = 0 - b
+    # is never -0, and a -0 s_0 alone adds or subtracts to +0)
+    force = fpu_build(FpuParams(ell=ell, omega=OMEGA)).slow_force
+    want_force = frozen_unmasked_fpu_slow_force(ell)
+    rng = np.random.default_rng(ell)
+    # x1 = -x0 gives the stretches s_i = 2 x0_i, each of x0's kind, where
+    # x0 is finite (a NaN or infinity spoils its right neighbour)
+    x0 = rng.choice(STRETCH_KINDS, (6, ell))
+    mixed = np.concatenate([x0, -x0], axis=-1)
+    no_zeros = rng.standard_normal(2 * ell) + 4.0
+    zeros = np.zeros(2 * ell)
+    signed_zeros = np.array([-0.0] * ell + [0.0] * ell)
+    states = [*mixed, no_zeros, zeros, signed_zeros]
+    blocks = [mixed[:2], mixed[2:4], np.stack([no_zeros, signed_zeros])]
+    with np.errstate(all="ignore"):
+        stretches = frozen_fpu_stretches(np.array(states), ell)
+        assert np.count_nonzero(stretches[len(mixed)]) == ell + 1
+        assert not stretches[len(mixed) + 1:].any()
+        if ell == 1000:
+            kinds = stretches[:len(mixed)]
+            assert np.isnan(kinds).any() and np.isinf(kinds).any()
+            assert (kinds < 0).any() and ((kinds != 0) & (kinds ** 3 == 0)).any()
+            assert (np.signbit(kinds) & (kinds == 0)).any()
+        for x in states + blocks:
+            out = np.empty(x.shape)
+            force.bind(x.copy(), out)()
+            assert np.array_equal(out.view(np.int64), want_force(x).view(np.int64))
 
 
 def _on_path(sys_, path, h):

@@ -35,10 +35,18 @@ model-sweep commands and the loops inside them:
     scalar source.
   - ell=1000 METHOD canonical|excited: a 200-step run at h = 0.01 on the
     ell = 1000 lattice (d = 2000, the array path, as lattice-large runs),
-    per step: from the canonical start, whose far springs stay unstretched,
-    and from that start plus a fixed-seed perturbation of every
-    coordinate, whose stretches are all nonzero, about half negative (the
-    cube's costly case).
+    per step: from the canonical start, whose far springs stay exactly
+    unstretched, and from that start plus a fixed-seed perturbation of
+    every coordinate, whose stretches are all nonzero, about half
+    negative.  numpy's vectorized pow cubes a positive base fastest; a
+    zero base costs it 3-5 times as much, and a negative one 20-35 times
+    (see README), so the force cubes only the nonzero stretches and the
+    excited start is the costly case.
+  - force ell=1000 canonical|excited: the bound slow force of that
+    lattice alone, per call, at either start.
+  - csv ell=1000 2 rows: cli._rows on the two sample rows of a lattice-large
+    command (IMEX at h = 0.03 to t = 2, omega = 50; 5003 columns, 9961 of
+    their 10006 cells +0.0), per call.
   - bind ell=N, METHOD cold|warm: one steppers._kernel call binding the
     method to the canonical start of the ell = 3 lattice (the float
     dialect) or the ell = 1000 lattice (the array dialect): "cold" with
@@ -54,6 +62,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import importlib.util
 import math
 import statistics
@@ -78,6 +87,10 @@ WIDE_STEPS = 200
 # normal draws of this seed on every coordinate
 EXCITATION = 0.01
 EXCITATION_SEED = 0
+FORCE_CALLS = 1000
+# lattice-large's IMEX command: h, t_end, and the stride that records the
+# start and the end alone
+CSV_RUN = (0.03, 2.0, 67)
 BIND_ELLS = (3, 1000)
 
 
@@ -186,12 +199,46 @@ def excited_start(oscint, ell: int):
     return oscint.State(0.0, state0.q + dq, state0.p + dp)
 
 
+def wide_lattice_and_start(oscint, start: str):
+    """The ell = WIDE_ELL lattice and its canonical or excited start."""
+    lattice, state0 = lattice_and_start(oscint, WIDE_ELL)
+    return lattice, excited_start(oscint, WIDE_ELL) if start == "excited" else state0
+
+
 def us_per_wide_step(oscint, method: str, start: str) -> float:
     """A run on the ell = WIDE_ELL lattice from its canonical or excited start."""
-    lattice, state0 = lattice_and_start(oscint, WIDE_ELL)
-    if start == "excited":
-        state0 = excited_start(oscint, WIDE_ELL)
+    lattice, state0 = wide_lattice_and_start(oscint, start)
     return run_seconds(oscint, lattice, state0, method, WIDE_STEPS) / WIDE_STEPS * 1e6
+
+
+def us_per_force_call(oscint, start: str) -> float:
+    """The ell = WIDE_ELL lattice's slow force, bound as a run binds it, at
+    its canonical or excited start."""
+    lattice, state0 = wide_lattice_and_start(oscint, start)
+    x = state0.q.copy()
+    force = lattice.slow_force.bind(x, x.copy())
+    begin = time.perf_counter()
+    for _ in range(FORCE_CALLS):
+        force()
+    return (time.perf_counter() - begin) / FORCE_CALLS * 1e6
+
+
+@cache
+def csv_columns(oscint):
+    """The columns of lattice-large's IMEX CSV, as cmd_integrate stacks them."""
+    lattice, state0 = lattice_and_start(oscint, WIDE_ELL)
+    h, t_end, stride = CSV_RUN
+    traj = oscint.integrate(lattice, oscint.StepperSpec(method="imex", h=h), state0, t_end,
+                            stride=stride)
+    return [traj.times, traj.qs, traj.ps, traj.energies, traj.stiff, traj.stiff.sum(axis=1)]
+
+
+def us_per_csv(oscint) -> float:
+    columns = csv_columns(oscint)
+    rows = importlib.import_module(oscint.__name__ + ".cli")._rows
+    start = time.perf_counter()
+    rows(columns)
+    return (time.perf_counter() - start) * 1e6
 
 
 def us_per_bind(oscint, ell: int, method: str, cold: bool) -> float:
@@ -265,6 +312,9 @@ def main() -> None:
         for start in ("canonical", "excited"):
             cases[f"ell={WIDE_ELL}", f"{m} {start}"] = partial(
                 us_per_wide_step, method=m, start=start)
+    for start in ("canonical", "excited"):
+        cases[f"force ell={WIDE_ELL}", start] = partial(us_per_force_call, start=start)
+    cases[f"csv ell={WIDE_ELL}", "2 rows"] = us_per_csv
     for ell in BIND_ELLS:
         for m in METHODS:
             for temperature in ("cold", "warm"):
@@ -276,13 +326,13 @@ def main() -> None:
             order = range(len(packages)) if r % 2 == 0 else reversed(range(len(packages)))
             for i in order:
                 times[i, case].append(timer(packages[i]))
-    print("system  case".ljust(36) + "".join(f"{str(src):>34}" for src in args.src))
+    print("system  case".ljust(37) + "".join(f"{str(src):>34}" for src in args.src))
     for s, m in cases:
         cells = []
         for i in range(len(packages)):
             q1, q2, q3 = statistics.quantiles(times[i, (s, m)], n=4)
             cells.append(f"{q2:10.2f} [{q1:.2f}, {q3:.2f}]".rjust(34))
-        print(f"{s:<14}{m}".ljust(36) + "".join(cells))
+        print(f"{s:<15}{m}".ljust(37) + "".join(cells))
     print("\nrepeats won by the scalar path")
     for ell in PATH_ELLS:
         for m in PATH_METHODS:
