@@ -1,7 +1,8 @@
 """Diagnostics: modified frequencies, linear stability, energy errors.
 
 The stability tools build one-step propagation matrices by stepping the
-method's kernel, the one integrate runs, once on a block of basis states,
+method's kernel once on a block of basis states, bound by the entry
+integrate binds through (steppers._kernel, on the method's statements),
 so they exercise production code rather than re-derived formulas.  The
 modified mass and the discrete Lagrangians, which read the IMEX step as a
 variational integrator, are proof code and live beside the tests
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .steppers import BLOWUP, Method, StepperSpec, Trajectory, _kernel, _step_once
+from .steppers import BLOWUP, Method, StepperSpec, Trajectory, _STATEMENTS, _step_once
 from .systems import coupled_oscillator_build
 
 ENERGY_ERROR_CAP = 1e12
@@ -52,7 +53,7 @@ def propagation_matrix(spec: StepperSpec, omega) -> np.ndarray:
     sys = coupled_oscillator_build(omega)
     # block[0] is q and block[1] is p, each of shape (2 basis states, d)
     block = np.repeat(np.eye(2)[..., np.newaxis], sys.d, axis=-1)
-    _step_once(lambda q, p: _kernel(sys, spec.method, spec.h, q, p, spec.substeps), *block)
+    _step_once(sys, _STATEMENTS[spec.method], spec.h, *block, spec.substeps)
     mats = np.moveaxis(block, -1, 0)
     return mats if np.ndim(omega) else mats[0]
 

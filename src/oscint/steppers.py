@@ -12,23 +12,23 @@ a drift; the impulse method (r-RESPA) kicks with the slow force around
 method, around a rotation of each axis by its modified frequency.  The
 fully implicit midpoint step on the whole potential stands apart.
 
-A kernel, bound to one run's buffers q and p by _kernel, advances them in
-place by up to n steps a call, kernel(n), testing each new state against
-the blow-up cap and stopping at the first that fails (see Kernel); it
-allocates nothing when the slow force is a SlowForce.  integrate holds the
-state in one buffer z = [q | p] and calls the kernel once per block of
-steps up to the next recorded state; every single step outside it
-(step_*, analysis.propagation_matrix) goes through _step_once, kernel(1),
-which silences a diverging midpoint-full iteration's overflow, as
-integrate does for a whole run.
+A kernel, bound by _kernel to a method's statements and one run's
+buffers q and p, advances them in place by up to n steps a call,
+kernel(n), testing each new state against the blow-up cap and stopping at
+the first that fails (see Kernel); it allocates nothing when the slow
+force is a SlowForce.  integrate holds the state in one buffer z = [q | p]
+and calls the kernel once per block of steps up to the next recorded
+state; every single step outside it (step_*, analysis.propagation_matrix)
+goes through _step_once, kernel(1), which silences a diverging
+midpoint-full iteration's overflow, as integrate does for a whole run.
 
 One template (_factory) renders the statements to a generator's source
 in two dialects, on the constants each method declares beside them
 (_constants); they differ only in how a statement, ALL and the cap test
-are written and where the state lives within a call.  On arrays
-(_array_kernel) each statement is one nested call of in-place ufuncs
-(_lower), outputs passed positionally, which skips the keyword parsing
-of out=; the source is the method's alone.
+are written and where the state lives within a call; _kernel picks one
+in a single if.  On arrays each statement is one nested call of in-place
+ufuncs (_lower), outputs passed positionally, which skips the keyword
+parsing of out=; the source is the method's alone.
 Every buffer it binds, the run's state z included, starts on a 64-byte
 boundary (systems._aligned): numpy's own buffers are 16-byte aligned, and
 its AVX-512 loops split every store into one that is not, which made a
@@ -37,8 +37,8 @@ buffers landed.
 Even so a ufunc call costs ~0.3 us however short the state, and a step
 makes 10-20 of them for a few dozen flops.  So a single state (q.ndim ==
 1) of at most SCALAR_MAX_D axes whose slow force has scalar source
-(SlowForce.scalar_source) steps in Python floats (_scalar_kernel), each
-statement written out axis by axis for the method, d and the force.
+(SlowForce.scalar_source) steps in Python floats, each statement
+written out axis by axis for the method, d and the force.
 Python rounds + - * / as numpy does, so every state is bit for bit the
 array kernels' (but for a NaN's sign, which numpy too picks by array
 size).  The lattice force's cube stays one np.power call, the one
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, repeat
 from types import CodeType
-from typing import Callable, Generator
+from typing import Callable
 
 import numpy as np
 
@@ -73,7 +73,7 @@ FP_MAX_ITER = 200
 # minutes at d = 1 (0.3-1 us a step in generated float code, RESPA 0.1 us a
 # substep) and seconds on the ell = 1e5 lattice (4-9 ms a step).
 MAX_STEPS = 10 ** 8
-# Longest single state that steps in generated float code (_scalar_kernel):
+# Longest single state that steps in generated float code (see _kernel):
 # the largest lattice d (of 2 to 32) at which it beat the array kernels in
 # at least 9 of 10 repeats of every run of tools/step_cost.py, for
 # Stormer-Verlet and IMEX alike (d = 20 won 8 to 10 of 10).
@@ -89,7 +89,7 @@ BLOWUP = "blowup"
 # steps stayed within the cap: n, or k < n when step k + 1 left it, q and p
 # then holding that state.  A NoConvergence raised in step k + 1 leaves q
 # and p at the state before it, with k in its steps attribute.  A kernel
-# is the send of a primed generator (_bind), in floats or on arrays, from
+# is the send of a primed generator (_kernel), in floats or on arrays, from
 # one template (_factory).  Between calls q and p belong to it: it keeps
 # the half kick it computed from the state it left, and the float dialect
 # also keeps its own copy of that state.  To restart from other values,
@@ -285,54 +285,6 @@ def _constants(sys: OscillatorySystem, statements: _Statements, h: float, subste
     return {name: consts[name] for name in bound}
 
 
-def _scalar_kernel(
-    sys: OscillatorySystem, statements: _Statements, consts: dict, q: np.ndarray, p: np.ndarray
-) -> Generator | None:
-    """The statements' kernel generator on one state of d axes in Python
-    floats, unprimed (see _bind), or None when the slow force has no
-    scalar source (SlowForce.scalar_source).  Every constant is passed in
-    by name, so no user value enters the source and nothing is folded: an
-    axis with w2_i = 0 still computes 0.0 * x and keeps its signed zero."""
-    d = q.size
-    g, y = _names(statements)[2] or ("g", "x")
-    emit = getattr(sys.slow_force, "scalar_source", None)
-    source = emit and emit([f"{y}{i}" for i in range(d)], [f"{g}{i}" for i in range(d)])
-    if source is None:
-        return None
-    slow, operands = source
-    per_axis = tuple(name for name, value in consts.items() if isinstance(value, np.ndarray))
-    values = dict(consts, **{name: consts[name].tolist() for name in per_axis})
-    factory = _factory(statements, d, tuple(slow), tuple(consts), per_axis, tuple(operands))
-    return factory(q, p, BLOWUP_NORM_CAP, **values, **operands)
-
-
-def _array_kernel(
-    sys: OscillatorySystem, statements: _Statements, consts: dict, q: np.ndarray, p: np.ndarray
-) -> Generator:
-    """The statements' kernel generator on q and p, one state or a block
-    of states (leading axes), unprimed (see _bind).  Every buffer, float
-    and per-axis constant is an array shaped like q: a scalar costs numpy
-    a conversion per call, and a call that broadcasts allocates a buffer
-    the size of the block."""
-    slow = _names(statements)[2]
-    shape = q.shape
-    # x.x over every element of x, a block's too
-    qdot, pdot = (q.dot, p.dot) if q.ndim == 1 else (partial(np.vdot, q), partial(np.vdot, p))
-    buffers = {"x": q, "v": p, "qdot": qdot, "pdot": pdot}
-    for name, value in consts.items():
-        buffers[name] = value if isinstance(value, int) else _aligned(shape, value)
-
-    def buffer(name: str) -> np.ndarray:
-        if name not in buffers:  # a vector, a scratch slot or _b
-            buffers[name] = _aligned(shape, dtype=bool if name == "_b" else float)
-        return buffers[name]
-
-    if slow is not None:  # g = SLOW(y), slow being (g, y)
-        buffers["SLOW"] = bind_slow_force(sys.slow_force, buffer(slow[1]), buffer(slow[0]))
-    factory = _factory(statements, None, ("SLOW()",), tuple(consts), (), ("SLOW",) if slow else ())
-    return factory(buffer, BLOWUP_NORM_CAP)
-
-
 def _lower(node: ast.expr, names: dict, out: str | None = None, depth: int = -1) -> str:
     """The nested in-place ufunc call that evaluates node into the buffer
     out, or else the scratch slot s{depth}; names gathers the buffers it
@@ -371,12 +323,12 @@ def _call(text: str, names: dict) -> str:
 def _factory(statements: _Statements, d: int | None, slow: tuple[str, ...],
              consts: tuple[str, ...], per_axis: tuple[str, ...], operands: tuple[str, ...]):
     """The compiled generator function of the statements' kernel (see
-    Kernel), in the float dialect on d axes (_scalar_kernel) or, d None,
-    the array dialect (_array_kernel).  slow is what g = SLOW(y) becomes,
-    consts name the constants, per_axis the floats' per-axis ones, and
-    operands the objects slow reads.  The generator runs setup and yields;
-    sent n, it takes up to n steps and yields how many stayed within the
-    cap, no yield inside the try.  Every name is a local of its frame, and
+    Kernel) for _kernel, in the float dialect on d axes or, d None, the
+    array dialect, named _scalar_kernel or _array_kernel.  slow is what
+    g = SLOW(y) becomes, consts name the constants, per_axis the floats'
+    per-axis ones, and operands the objects slow reads.  The generator
+    runs setup and yields; sent n, it takes up to n steps and yields how
+    many stayed within the cap, no yield inside the try.  Every name is a local of its frame, and
     Python lines are written as they are.
 
     Floats: each statement is written out axis by axis by name
@@ -473,25 +425,51 @@ def _factory(statements: _Statements, d: int | None, slow: tuple[str, ...],
     return namespace[factory]
 
 
-def _bind(sys: OscillatorySystem, statements: _Statements, h: float, substeps: int,
-          q: np.ndarray, p: np.ndarray) -> Kernel:
-    """The statements' kernel on their constants (_constants) bound to q
-    and p, in floats where it can be: its generator's send, primed by
-    running setup to the first yield."""
-    consts = _constants(sys, statements, h, substeps)
-    kernel = (q.ndim == 1 and q.size <= SCALAR_MAX_D
-              and _scalar_kernel(sys, statements, consts, q, p)
-              or _array_kernel(sys, statements, consts, q, p))
-    next(kernel)
-    return kernel.send
-
-
 def _kernel(
-    sys: OscillatorySystem, method: Method, h: float, q: np.ndarray, p: np.ndarray,
+    sys: OscillatorySystem, statements: _Statements, h: float, q: np.ndarray, p: np.ndarray,
     substeps: int = 1,
 ) -> Kernel:
-    """The method's kernel bound to q and p; substeps is read by RESPA only."""
-    return _bind(sys, _STATEMENTS[method], h, substeps, q, p)
+    """The statements' kernel on their constants (_constants) bound to q
+    and p: its generator's send, primed by running setup to the first
+    yield; substeps is read by RESPA only.  In floats where it can be,
+    every constant passed in by name, so no user value enters the source
+    and nothing is folded: an axis with w2_i = 0 still computes 0.0 * x
+    and keeps its signed zero.  On arrays every buffer, float and per-axis
+    constant is shaped like q: a scalar costs numpy a conversion per call,
+    and a call that broadcasts allocates a buffer the size of the block."""
+    consts = _constants(sys, statements, h, substeps)
+    slow = _names(statements)[2]
+    g, y = slow or ("g", "x")
+    emit = getattr(sys.slow_force, "scalar_source", None)
+    d = q.size
+    source = (q.ndim == 1 and d <= SCALAR_MAX_D and emit
+              and emit([f"{y}{i}" for i in range(d)], [f"{g}{i}" for i in range(d)]))
+    if source:
+        lines, operands = source
+        per_axis = tuple(name for name, value in consts.items() if isinstance(value, np.ndarray))
+        values = dict(consts, **{name: consts[name].tolist() for name in per_axis})
+        factory = _factory(statements, d, tuple(lines), tuple(consts), per_axis, tuple(operands))
+        kernel = factory(q, p, BLOWUP_NORM_CAP, **values, **operands)
+    else:
+        shape = q.shape
+        # x.x over every element of x, a block's too
+        qdot, pdot = (q.dot, p.dot) if q.ndim == 1 else (partial(np.vdot, q), partial(np.vdot, p))
+        buffers = {"x": q, "v": p, "qdot": qdot, "pdot": pdot}
+        for name, value in consts.items():
+            buffers[name] = value if isinstance(value, int) else _aligned(shape, value)
+
+        def buffer(name: str) -> np.ndarray:
+            if name not in buffers:  # a vector, a scratch slot or _b
+                buffers[name] = _aligned(shape, dtype=bool if name == "_b" else float)
+            return buffers[name]
+
+        if slow is not None:
+            buffers["SLOW"] = bind_slow_force(sys.slow_force, buffer(y), buffer(g))
+        factory = _factory(statements, None, ("SLOW()",), tuple(consts), (),
+                           ("SLOW",) if slow else ())
+        kernel = factory(buffer, BLOWUP_NORM_CAP)
+    next(kernel)
+    return kernel.send
 
 
 def _state_buffers(sys: OscillatorySystem, state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -508,9 +486,10 @@ def _state_buffers(sys: OscillatorySystem, state: State) -> tuple[np.ndarray, np
 
 
 def _step_once(
-    bind: Callable[[np.ndarray, np.ndarray], Kernel], q: np.ndarray, p: np.ndarray
+    sys: OscillatorySystem, statements: _Statements, h: float, q: np.ndarray, p: np.ndarray,
+    substeps: int = 1,
 ) -> None:
-    """Advance q and p in place by one step of the kernel bind(q, p) makes,
+    """Advance q and p in place by one step of the statements' kernel,
     kernel(1), whatever the state's norm.
 
     A diverging midpoint-full iteration may overflow before it raises
@@ -518,15 +497,15 @@ def _step_once(
     silences it once per run.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        bind(q, p)(1)
+        _kernel(sys, statements, h, q, p, substeps)(1)
 
 
 def _state_step(
-    sys: OscillatorySystem, bind: Callable[[np.ndarray, np.ndarray], Kernel], state: State, h: float
+    sys: OscillatorySystem, statements: _Statements, state: State, h: float, substeps: int = 1
 ) -> State:
-    """One step of bind(q, p)'s kernel on a copy of a state of sys; h may be negative."""
+    """One step of the statements' kernel on a copy of a state of sys; h may be negative."""
     _, q, p = _state_buffers(sys, state)
-    _step_once(bind, q, p)
+    _step_once(sys, statements, h, q, p, substeps)
     return State(state.t + h, q, p)
 
 
@@ -538,35 +517,35 @@ def kick_slow(sys: OscillatorySystem, state: State, dt: float) -> State:
 def step_midpoint_fast(sys: OscillatorySystem, state: State, h: float) -> State:
     """Implicit midpoint step of the fast quadratic part only: IMEX's stiff
     flow (_FAST_MIDPOINT) alone."""
-    return _state_step(sys, partial(_bind, sys, _FAST_MIDPOINT, h, 1), state, h)
+    return _state_step(sys, _FAST_MIDPOINT, state, h)
 
 
 def step_imex(sys: OscillatorySystem, state: State, h: float) -> State:
     """Half slow kick, implicit midpoint on the fast part, half slow kick."""
-    return _state_step(sys, partial(_kernel, sys, Method.IMEX, h), state, h)
+    return _state_step(sys, _STATEMENTS[Method.IMEX], state, h)
 
 
 def step_stormer_verlet(sys: OscillatorySystem, state: State, h: float) -> State:
     """Kick-drift-kick on the full force."""
-    return _state_step(sys, partial(_kernel, sys, Method.SV, h), state, h)
+    return _state_step(sys, _STATEMENTS[Method.SV], state, h)
 
 
 def step_respa(sys: OscillatorySystem, state: State, h: float, substeps: int) -> State:
     """Impulse multiple time stepping: outer half kicks of the slow force
     around `substeps` Stormer-Verlet substeps of the fast-only system."""
     _check_count("substeps", substeps)
-    return _state_step(sys, partial(_kernel, sys, Method.RESPA, h, substeps=substeps), state, h)
+    return _state_step(sys, _STATEMENTS[Method.RESPA], state, h, substeps)
 
 
 def step_modified_impulse(sys: OscillatorySystem, state: State, h: float) -> State:
     """Impulse method whose fast step rotates each axis by its modified
     frequency (see _STATEMENTS)."""
-    return _state_step(sys, partial(_kernel, sys, Method.MODIFIED_IMPULSE, h), state, h)
+    return _state_step(sys, _STATEMENTS[Method.MODIFIED_IMPULSE], state, h)
 
 
 def step_midpoint_full(sys: OscillatorySystem, state: State, h: float) -> State:
     """Implicit midpoint on the full potential (see _STATEMENTS)."""
-    return _state_step(sys, partial(_kernel, sys, Method.MIDPOINT_FULL, h), state, h)
+    return _state_step(sys, _STATEMENTS[Method.MIDPOINT_FULL], state, h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -660,7 +639,7 @@ def integrate(
     # a diverging run may overflow before the cap test stops it, as early
     # as in the force evaluation that binding the kernel makes
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel = _kernel(sys, spec.method, spec.h, q, p, spec.substeps)
+        kernel = _kernel(sys, _STATEMENTS[spec.method], spec.h, q, p, spec.substeps)
         # one call a block of steps: stride steps up to each recorded
         # state, then any that are left
         blocks = repeat(stride, n_steps // stride)

@@ -178,8 +178,7 @@ class SlowForce:
     steppers' array kernels evaluate a method's g = SLOW(y) through bind.
 
     scalar_source, if the force has one, is the same g = SLOW(y) in the
-    float kernels that a short single state steps in
-    (steppers._scalar_kernel).
+    float kernels that a short single state steps in (steppers._kernel).
     """
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

@@ -549,7 +549,8 @@ def _on_path(sys_, path, h):
     kernel of that path."""
     if path == "array":
         sys_ = dataclasses.replace(sys_, slow_force=lambda x: -x)
-    kernel = steppers._kernel(sys_, Method.MIDPOINT_FULL, h, np.zeros(1), np.zeros(1))
+    kernel = steppers._kernel(sys_, steppers._STATEMENTS[Method.MIDPOINT_FULL], h, np.zeros(1),
+                              np.zeros(1))
     assert kernel.__self__.gi_code.co_name == {"float": "_scalar_kernel",
                                                "array": "_array_kernel"}[path]
     return sys_

@@ -1,4 +1,5 @@
 """Unit tests for the one-step maps and the trajectory driver."""
+import dataclasses
 import functools
 import inspect
 import tracemalloc
@@ -18,6 +19,7 @@ from oscint.steppers import (
     Method,
     NoConvergence,
     StepperSpec,
+    _STATEMENTS,
     _kernel,
     _state_buffers,
     integrate,
@@ -33,6 +35,7 @@ from oscint.steppers import (
 from oscint.systems import (
     FpuParams,
     OscillatorySystem,
+    SlowForce,
     State,
     coupled_oscillator_build,
     fpu_build,
@@ -473,7 +476,8 @@ class TestIntegrate:
             sys_ = _unbindable(fpu_sys, lambda x: fpu_sys.slow_force(x))
         h = 0.01 if method in (Method.SV, Method.MIDPOINT_FULL) else 0.05
         spec = StepperSpec(method=method, h=h, substeps=3)
-        kernel = _kernel(sys_, method, h, fpu_state0.q.copy(), fpu_state0.p.copy(), 3)
+        kernel = _kernel(sys_, _STATEMENTS[method], h, fpu_state0.q.copy(), fpu_state0.p.copy(),
+                          3)
         assert _dialect(kernel) == ("_scalar_kernel" if path == "float" else "_array_kernel")
         full = integrate(sys_, spec, fpu_state0, 2.0)
         sub = integrate(sys_, spec, fpu_state0, 2.0, stride=stride)
@@ -615,7 +619,7 @@ class TestBufferOwnership:
             q, p = np.array([[state0.q, state0.q], [state0.p, state0.p]])
         else:
             _, q, p = _state_buffers(sys_, state0)
-        kernel = _kernel(sys_, method, 0.01, q, p, substeps=3)
+        kernel = _kernel(sys_, _STATEMENTS[method], 0.01, q, p, substeps=3)
         kernel(1)
         tracemalloc.start()
         try:
@@ -635,11 +639,11 @@ class TestBufferOwnership:
         # system, as the resonance sweep binds one, it compiles once
         lattice = fpu_build(FpuParams(ell=1000, omega=50.0))
         _, q, p = _state_buffers(lattice, fpu_initial_state(lattice))
-        _kernel(lattice, method, 0.01, q, p, substeps=3)
+        _kernel(lattice, _STATEMENTS[method], 0.01, q, p, substeps=3)
         misses = steppers._factory.cache_info().misses
         model = coupled_oscillator_build(np.linspace(1.0, 450.0, 450))
         block = np.repeat(np.eye(2)[..., np.newaxis], 450, axis=-1)
-        _kernel(model, method, 0.1, *block, substeps=3)
+        _kernel(model, _STATEMENTS[method], 0.1, *block, substeps=3)
         assert steppers._factory.cache_info().misses == misses
 
 
@@ -677,7 +681,7 @@ class TestAlignment:
             z, q, p = _state_buffers(sys_, state0)
             if shape == "lattice-block":
                 q, p = np.array([[state0.q, state0.q], [state0.p, state0.p]])
-        arrays = _kernel_arrays(_kernel(sys_, method, 0.01, q, p, substeps=3))
+        arrays = _kernel_arrays(_kernel(sys_, _STATEMENTS[method], 0.01, q, p, substeps=3))
         if shape == "lattice":
             assert arrays["x"] is q and arrays["v"] is p
             arrays.update(z=z)
@@ -742,6 +746,40 @@ class TestUnboundForce:
         assert len(traj.times) - 1 == 100 and len(calls) == 101
 
 
+
+class _NegativeForce(SlowForce):
+    """The model's g(x) = -x as a user would write it: bind alone, so the
+    base class's scalar_source says it has none."""
+
+    def bind(self, x, out):
+        return functools.partial(np.negative, x, out)
+
+
+class TestBindOnlyForce:
+    """A user SlowForce that only binds steps a short state on arrays, bit
+    for bit as the built-in force steps it in floats."""
+
+    @pytest.mark.parametrize("method", ALL_METHODS, ids=[m.value for m in ALL_METHODS])
+    def test_bind_only_force_matches_the_float_path_bit_for_bit(self, method):
+        built_in = coupled_oscillator_build(2.0)
+        user = dataclasses.replace(built_in, slow_force=_NegativeForce())
+        for sys_, dialect in ((built_in, "_scalar_kernel"), (user, "_array_kernel")):
+            kernel = _kernel(sys_, _STATEMENTS[method], 0.01, np.ones(1), np.ones(1), 3)
+            assert _dialect(kernel) == dialect
+        spec = StepperSpec(method=method, h=0.01, substeps=3)
+        state0 = State(0.0, [1.0], [0.5])
+        want, got = (integrate(s, spec, state0, 2.0) for s in (built_in, user))
+        assert want.completed and got.completed
+        _assert_same_bits(got.qs, want.qs)
+        _assert_same_bits(got.ps, want.ps)
+
+    def test_force_without_bind_raises_when_called(self):
+        class Unbound(SlowForce):
+            pass
+
+        with pytest.raises(NotImplementedError):
+            Unbound()(np.zeros(1))
+
 FLOAT_CASES = [(m, 1) for m in ALL_METHODS if m is not Method.RESPA] + [
     (Method.RESPA, 10), (Method.RESPA, 100)]
 # finite starts with both zeros, subnormals and squares or products that overflow
@@ -787,7 +825,7 @@ def _run_kernel(sys_, method, h, substeps, z, n_steps, block):
     NoConvergence's iteration count), a NoConvergence leaving the state
     before the failing step."""
     q, p = z
-    kernel = _kernel(sys_, method, h, q, p, substeps)
+    kernel = _kernel(sys_, _STATEMENTS[method], h, q, p, substeps)
     states, n = {0: z.copy()}, 0
     while n < n_steps:
         todo = min(block, n_steps - n)
@@ -926,7 +964,8 @@ class TestFloatKernels:
         # force has scalar source; arrays for a longer state, a block and a
         # force without it
         def bound(sys_, shape):
-            return _dialect(_kernel(sys_, Method.IMEX, 0.01, np.zeros(shape), np.zeros(shape)))
+            return _dialect(_kernel(sys_, _STATEMENTS[Method.IMEX], 0.01, np.zeros(shape),
+                                    np.zeros(shape)))
 
         d = steppers.SCALAR_MAX_D
         for n in (1, d):
@@ -955,7 +994,7 @@ class TestDeclaredMethod:
 
         def run(shape):
             q, p = start.q.reshape(shape).copy(), start.p.reshape(shape).copy()
-            kernel = steppers._bind(sys_, statements, 0.01, 1, q, p)
+            kernel = _kernel(sys_, statements, 0.01, q, p)
             states = []
             for _ in range(300):
                 assert kernel(1) == 1

@@ -201,6 +201,8 @@ class TestTransform:
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
             fpu_transform(np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError):
+            fpu_inverse_transform(np.zeros(3), np.zeros(3))
 
 
 def _per_mass_energy(q, p, omega):
@@ -276,3 +278,7 @@ class TestInitialState:
         assert s.t == 0.0
         assert s.q == pytest.approx([1.0, 0.0, 0.0, 0.02, 0.0, 0.0])
         assert s.p == pytest.approx([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+
+    def test_model_system_rejected(self, model50):
+        with pytest.raises(ValueError, match="needs a lattice system"):
+            fpu_initial_state(model50)

@@ -10,7 +10,14 @@ command's outputs are its exit code, stdout, stderr and the bytes of every
 file it leaves in that directory (its CSV).  One line per command says
 "same" or names what differs, a CSV that differs only in its # lines as
 "file out.csv (# lines only)", so a change to the metadata alone shows as
-such; the exit status is 1 if anything differs.
+such.  Then, per tree, one fresh process records the source of every
+kernel oscint.steppers generates (its compile replaced by a recorder) as
+the public step_midpoint_fast, step_imex, step_stormer_verlet, step_respa,
+step_modified_impulse and step_midpoint_full each take one step, the
+steppers' caches cleared before each, on three systems: the d=1 model
+and the ell=3 lattice (float kernels) and the ell=1000 lattice (array
+kernels).  One line per step and system says whether the 18 sources are
+the same.  The exit status is 1 if anything differs.
 
 The commands fix every argument, and between them run every method's
 kernel in both dialects, floats (d <= 16) and arrays: fpu-exchange at its
@@ -27,6 +34,7 @@ RESPA fpu-exchange at 7 substeps and an IMEX model run from (q0, p0) =
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -105,6 +113,52 @@ def marked(key: str, want: dict[str, object], got: dict[str, object]) -> str:
     return key
 
 
+# Run in a fresh process against one tree: prints, as JSON, the kernel
+# sources each public step compiles, keyed "<step> <system>".
+KERNEL_SOURCES = """
+import json, sys
+from oscint import steppers
+from oscint.systems import FpuParams, State, coupled_oscillator_build, fpu_build, fpu_initial_state
+
+recorded = []
+
+
+def recorder(source, filename, *args, **kwargs):
+    if " kernel" in filename:
+        recorded.append(source)
+    return compile(source, filename, *args, **kwargs)
+
+
+steppers.compile = recorder
+lattices = {ell: fpu_build(FpuParams(ell, 50.0)) for ell in (3, 1000)}
+systems = {"d=1 model": (coupled_oscillator_build(2.0), State(0.0, [1.0], [0.5])),
+           **{f"ell={ell} lattice": (lattice, fpu_initial_state(lattice))
+              for ell, lattice in lattices.items()}}
+steps = {name: getattr(steppers, name) for name in (
+    "step_midpoint_fast", "step_imex", "step_stormer_verlet", "step_modified_impulse",
+    "step_midpoint_full")}
+steps["step_respa"] = lambda sys_, state, h: steppers.step_respa(sys_, state, h, 10)
+sources = {}
+for system, (sys_, state) in systems.items():
+    for name, step in steps.items():
+        for obj in vars(steppers).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+        recorded.clear()
+        step(sys_, state, 0.01)
+        sources[f"{name} {system}"] = list(recorded)
+json.dump(sources, sys.stdout)
+"""
+
+
+def kernel_sources(src: Path) -> dict[str, list[str]]:
+    """The kernel sources each public step compiles against the tree src."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run([sys.executable, "-c", KERNEL_SOURCES], env=env, capture_output=True,
+                         text=True, check=True)
+    return json.loads(run.stdout)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path)
@@ -117,6 +171,11 @@ def main() -> int:
         differ |= bool(diffs)
         verdict = f"differ: {', '.join(marked(k, want, got) for k in diffs)}" if diffs else "same"
         print(f"{label:<46} exit {want['exit code']}  {verdict}", flush=True)
+    want, got = (kernel_sources(src.resolve()) for src in (args.parent_src, args.src))
+    for key in {**want, **got}:
+        same = bool(want.get(key)) and want.get(key) == got.get(key)
+        differ |= not same
+        print(f"source {key:<39} {'same' if same else 'differ'}", flush=True)
     return 1 if differ else 0
 
 

@@ -48,7 +48,8 @@ model-sweep commands and the loops inside them:
     command (IMEX at h = 0.03 to t = 2, omega = 50; 5003 columns, 9961 of
     their 10006 cells +0.0), per call.
   - bind ell=N, METHOD cold|warm: one steppers._kernel call binding the
-    method to the canonical start of the ell = 3 lattice (the float
+    method's statements (the Method itself, on a checkout that still has
+    steppers._bind) to the canonical start of the ell = 3 lattice (the float
     dialect) or the ell = 1000 lattice (the array dialect): "cold" with
     every cache of the steppers module cleared first, so the bind renders
     and compiles the method's source (the float one for its d, the array
@@ -247,7 +248,10 @@ def us_per_bind(oscint, ell: int, method: str, cold: bool) -> float:
     steppers = oscint.steppers
     lattice, state0 = lattice_and_start(oscint, ell)
     _, q, p = steppers._state_buffers(lattice, state0)
-    args = (lattice, steppers.Method(method), H, q, p, 10 if method == "respa" else 1)
+    method = steppers.Method(method)
+    # a checkout with _bind still binds a Method, one without binds statements
+    bound = method if hasattr(steppers, "_bind") else steppers._STATEMENTS[method]
+    args = (lattice, bound, H, q, p, 10 if method is steppers.Method.RESPA else 1)
     if cold:
         for obj in vars(steppers).values():
             if hasattr(obj, "cache_clear"):
